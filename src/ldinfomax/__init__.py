@@ -9,6 +9,7 @@ generation, ground-truth-aligned evaluation, and an extended-infomax ICA
 baseline for comparison.
 """
 
+from .config import write_trajectory_csv
 from .datagen import (
     Scenario,
     ScenarioConfig,
@@ -36,7 +37,6 @@ from .ica import (
     affine_match_to_reference,
     ica_infomax,
     ica_separate,
-    rescale_into_polytope,
     whiten,
 )
 from .polytopes import (
@@ -58,8 +58,6 @@ from .solver import (
     initialize,
     run,
     run_best_of,
-    step,
-    write_trajectory_csv,
 )
 from .stats import (
     CovarianceBundle,
@@ -110,14 +108,12 @@ __all__ = [
     "project_box",
     "project_columns",
     "project_l1_group",
-    "rescale_into_polytope",
     "run",
     "run_best_of",
     "sample_covariance",
     "save_scenario",
     "sinr_db",
     "sources_in_polytope",
-    "step",
     "toeplitz_correlation",
     "whiten",
     "write_trajectory_csv",

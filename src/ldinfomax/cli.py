@@ -28,25 +28,13 @@ from .config import (
     experiment_to_mapping,
     format_float,
     load_experiment,
+    write_csv,
     write_kv,
 )
 from .datagen import make_scenario, save_scenario
 from .polytopes import contains
 
 __all__ = ["main", "cmd_gen", "cmd_run", "cmd_sweep", "cmd_eval"]
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _cell(v):
-    if isinstance(v, float):
-        return format_float(v)
-    return str(v)
 
 
 def _load_matrix(path):
@@ -120,7 +108,10 @@ def _run_ica_trial(scenario, scenario_cfg, ica_cfg):
 
 
 def cmd_run(cfg, out_dir):
-    """Run seeded trials of one algorithm; write convergence and finals CSVs."""
+    """Run seeded trials of one algorithm; write convergence and finals CSVs.
+
+    Returns 1 when no trial succeeded, else 0.
+    """
     if cfg.algo == "both":
         raise ValueError("run expects a single algorithm; use sweep for both")
     out = Path(out_dir)
@@ -147,27 +138,35 @@ def cmd_run(cfg, out_dir):
 
     if curves:
         grid, mean, std = evaluation.aggregate(curves)
-        _write_csv(
+        write_csv(
             out / "convergence.csv",
             ("iteration", "sinr_mean_db", "sinr_std_db"),
             zip(grid.tolist(), mean.tolist(), std.tolist()),
         )
-    _write_csv(
+    write_csv(
         out / "trials.csv",
         ("trial", "seed", "status", "final_objective", "final_sinr_db"),
         finals,
     )
     _sidecar(cfg, out, "run.cfg")
+    if not curves:
+        print(f"wrote trials.csv, run.cfg to {out}")
+        print("error: no trial succeeded; see trials.csv", file=sys.stderr)
+        return 1
     print(f"wrote convergence.csv, trials.csv, run.cfg to {out}")
     return 0
 
 
 def cmd_sweep(cfg, out_dir):
-    """Sweep source correlation for each algorithm; write the comparison CSV."""
+    """Sweep source correlation for each algorithm; write the comparison CSV.
+
+    A (rho, algo) cell without a successful trial has no row in sweep.csv,
+    and the command then returns 1.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     algos = ("ld_infomax", "ica") if cfg.algo == "both" else (cfg.algo,)
-    rows = []
+    rows, missing = [], []
     for rho in cfg.rho_grid:
         per_algo = {algo: [] for algo in algos}
         for trial in range(cfg.trials):
@@ -194,6 +193,7 @@ def cmd_sweep(cfg, out_dir):
         for algo in algos:
             vals = np.asarray(per_algo[algo], dtype=float)
             if vals.size == 0:
+                missing.append(f"rho={format_float(rho)} {algo}")
                 continue
             rows.append((float(rho), algo, float(vals.mean()), float(vals.std())))
             print(
@@ -201,9 +201,12 @@ def cmd_sweep(cfg, out_dir):
                 f"mean SINR {vals.mean():.2f} dB (std {vals.std():.2f})",
                 flush=True,
             )
-    _write_csv(out / "sweep.csv", ("rho", "algo", "sinr_mean_db", "sinr_std_db"), rows)
+    write_csv(out / "sweep.csv", ("rho", "algo", "sinr_mean_db", "sinr_std_db"), rows)
     _sidecar(cfg, out, "sweep.cfg")
     print(f"wrote sweep.csv, sweep.cfg to {out}")
+    if missing:
+        print(f"error: no trial succeeded for {', '.join(missing)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -221,7 +224,7 @@ def cmd_eval(estimate_path, truth_path, out_dir):
         ("signs", " ".join(str(s) for s in report.alignment.signs)),
         ("per_source_corr", " ".join(format_float(c) for c in report.per_source_corr)),
     ]
-    _write_csv(out / "report.csv", ("field", "value"), rows)
+    write_csv(out / "report.csv", ("field", "value"), rows)
     print(f"MSE: {format_float(report.mse)}")
     print(f"SINR: {format_float(report.sinr_db)} dB")
     print(f"perm: {report.alignment.perm}  signs: {report.alignment.signs}")

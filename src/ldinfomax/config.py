@@ -1,13 +1,15 @@
-"""Flat key-value experiment configuration files.
+"""On-disk formats: flat key-value experiment configs and CSV tables.
 
-The on-disk format is one ``section.key = value`` assignment per line with
-``#`` comments, diff-friendly and trivially parseable. Polytopes serialize
-as a preset name, or as ``custom`` plus explicit domain tags and group index
-lists.
+A config file has one ``section.key = value`` assignment per line with
+``#`` comments, diff-friendly and trivially parseable; unknown keys are
+rejected. Polytopes serialize as a preset name, or as ``custom`` plus
+explicit domain tags and group index lists. CSV tables format every float
+with :func:`format_float`, so reruns with one seed give identical bytes.
 """
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .datagen import ScenarioConfig
 from .ica import IcaConfig
@@ -24,10 +26,13 @@ __all__ = [
     "polytope_to_fields",
     "read_kv",
     "save_experiment",
+    "write_csv",
     "write_kv",
+    "write_trajectory_csv",
 ]
 
 ALGOS = ("ld_infomax", "ica", "both")
+_CUSTOM_POLYTOPE_KEYS = ("scenario.polytope.domains", "scenario.polytope.groups")
 
 
 @dataclass(frozen=True)
@@ -55,12 +60,37 @@ class ExperimentConfig:
 
 
 def format_float(x):
-    """Canonical 12-significant-digit float formatting used in all outputs."""
+    """Canonical 12-significant-digit float formatting used in all outputs.
+
+    ``None`` is written as ``none``.
+    """
     if x is None:
         return "none"
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{float(x):.12g}"
+
+
+def write_csv(path, header, rows):
+    """Write a CSV table; float cells go through :func:`format_float`."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = (format_float(v) if isinstance(v, float) else str(v) for v in row)
+        lines.append(",".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_trajectory_csv(state, path):
+    """Write a solver state's recorded trajectory as CSV.
+
+    Columns are ``iteration,objective`` plus ``sinr_db`` when ground truth
+    was supplied to the run.
+    """
+    has_sinr = any(pt.sinr_db is not None for pt in state.trajectory)
+    header = ("iteration", "objective") + (("sinr_db",) if has_sinr else ())
+    rows = [
+        (pt.iteration, pt.objective) + ((pt.sinr_db,) if has_sinr else ())
+        for pt in state.trajectory
+    ]
+    write_csv(path, header, rows)
 
 
 def read_kv(path):
@@ -152,8 +182,6 @@ def experiment_to_mapping(cfg):
             "solver.schedule": sv.schedule,
             "solver.record_every": str(sv.record_every),
             "solver.init": sv.init,
-            "solver.averaging": sv.averaging,
-            "solver.averaging_power": str(sv.averaging_power),
             "solver.seed": str(sv.seed),
             "ica.learning_rate": format_float(ic.learning_rate),
             "ica.max_iter": str(ic.max_iter),
@@ -174,8 +202,17 @@ def experiment_from_mapping(mapping):
     """Build an :class:`ExperimentConfig` from key-value pairs.
 
     Missing keys fall back to the dataclass defaults.
+
+    Raises
+    ------
+    ValueError
+        If a key is not one :func:`experiment_to_mapping` can write.
     """
     defaults = ExperimentConfig()
+    known = set(experiment_to_mapping(defaults)) | set(_CUSTOM_POLYTOPE_KEYS)
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     dsc, dsv, dic = defaults.scenario, defaults.solver, defaults.ica
 
     def get(key, fallback):
@@ -202,8 +239,6 @@ def experiment_from_mapping(mapping):
         seed=int(get("solver.seed", dsv.seed)),
         record_every=int(get("solver.record_every", dsv.record_every)),
         init=get("solver.init", dsv.init),
-        averaging=get("solver.averaging", dsv.averaging),
-        averaging_power=int(get("solver.averaging_power", dsv.averaging_power)),
     )
     ica = IcaConfig(
         learning_rate=float(get("ica.learning_rate", dic.learning_rate)),

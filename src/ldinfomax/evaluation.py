@@ -117,8 +117,12 @@ def sinr_db(s_est, s_true):
     recovery returns ``inf``.
     """
     s_est, s_true = _check_pair(s_est, s_true)
+    return _sinr_from_mse(mse(s_est, s_true, _alignment_unchecked(s_est, s_true)), s_true)
+
+
+def _sinr_from_mse(err, s_true):
+    """SINR in dB of an estimate with aligned error ``err`` against ``s_true``."""
     r, n = s_true.shape
-    err = mse(s_est, s_true, _alignment_unchecked(s_est, s_true))
     power = float(np.sum(s_true * s_true)) / (r * n)
     if err == 0.0:
         return float("inf")
@@ -131,24 +135,20 @@ def evaluate(s_est, s_true):
     alignment = _alignment_unchecked(s_est, s_true)
     aligned = alignment.apply(s_true)
     err = mse(s_est, s_true, alignment)
-    r, n = s_true.shape
-    power = float(np.sum(s_true * s_true)) / (r * n)
-    value = float("inf") if err == 0.0 else 10.0 * float(np.log10(power / err))
+    value = _sinr_from_mse(err, s_true)
     dots = np.sum(s_est * aligned, axis=1)
     scale = np.linalg.norm(s_est, axis=1) * np.linalg.norm(aligned, axis=1)
     corr = dots / np.maximum(scale, np.finfo(float).tiny)
     return EvaluationReport(err, value, alignment, corr)
 
 
-def aggregate(trial_curves, at=None):
+def aggregate(trial_curves):
     """Mean and population standard deviation of SINR curves across trials.
 
     Parameters
     ----------
     trial_curves : sequence of sequences of (iteration, sinr_db)
         One curve per trial; all curves must share the same iteration grid.
-    at : sequence of int, optional
-        Restrict the output to these grid points.
 
     Returns
     -------
@@ -163,11 +163,4 @@ def aggregate(trial_curves, at=None):
             raise ValueError("trial curves have mismatched iteration grids")
     grid = grids[0]
     values = np.array([[p[1] for p in c] for c in trial_curves], dtype=float)
-    if at is not None:
-        at = np.asarray(at, dtype=int)
-        idx = np.searchsorted(grid, at)
-        if np.any(idx >= len(grid)) or np.any(grid[np.minimum(idx, len(grid) - 1)] != at):
-            raise ValueError("requested grid points missing from the curves")
-        grid = grid[idx]
-        values = values[:, idx]
     return grid, values.mean(axis=0), values.std(axis=0)

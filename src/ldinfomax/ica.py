@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .polytopes import NONNEG, project_columns
+from .stats import _center, _covariance
 
 __all__ = [
     "IcaConfig",
@@ -21,7 +21,6 @@ __all__ = [
     "affine_match_to_reference",
     "ica_infomax",
     "ica_separate",
-    "rescale_into_polytope",
     "whiten",
 ]
 
@@ -68,20 +67,23 @@ def whiten(y, r):
     Raises
     ------
     ValueError
-        If the centered mixtures have rank below ``r``.
+        If ``y`` is not an (M, N) matrix with N >= 2 or ``r`` is not in
+        ``[1, M]``.
+    numpy.linalg.LinAlgError
+        If the centered mixtures have rank below ``r`` (a ``ValueError``
+        subclass).
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[1] < 2:
         raise ValueError("mixtures must be an (M, N) matrix with N >= 2")
     if r < 1 or r > y.shape[0]:
-        raise ValueError(f"r must be in [1, {y.shape[0]}], got {r}")
-    yc = y - y.mean(axis=1, keepdims=True)
-    gram = yc @ yc.T / y.shape[1]
-    w, v = np.linalg.eigh(0.5 * (gram + gram.T))
+        raise ValueError(f"r must be in [1, M={y.shape[0]}], got r={r}")
+    yc = _center(y)
+    w, v = np.linalg.eigh(_covariance(yc))
     order = np.argsort(w)[::-1][:r]
     w = w[order]
     if w[-1] <= max(w[0], 0.0) * 1e-12 or w[-1] <= 0.0:
-        raise ValueError(f"mixtures have rank below {r}; cannot whiten")
+        raise np.linalg.LinAlgError(f"mixtures have rank below {r}; cannot whiten")
     w_white = (v[:, order] / np.sqrt(w)).T
     return w_white @ yc, w_white
 
@@ -188,30 +190,3 @@ def affine_match_to_reference(s_est, s_ref):
     scale = inner[rows, cols] / e_sq[rows]
     offset = s_ref[cols].mean(axis=1)
     return scale[:, None] * ec + offset[:, None]
-
-
-def rescale_into_polytope(s_est, p, quantile=0.995):
-    """Map unit-variance estimates onto the polytope's coordinate scale.
-
-    ICA recovers sources only up to per-row affine factors, so its raw
-    outputs are incomparable with polytope-member ground truth under metrics
-    that resolve only permutation and sign. This helper stretches each row to
-    fill its box domain: nonnegative rows are first oriented to positive
-    skewness, shifted so the low quantile sits at 0, and scaled so the high
-    quantile sits at 1; signed rows are scaled so the high absolute quantile
-    sits at 1. Columns are then projected to restore any group constraints.
-    """
-    s = np.asarray(s_est, dtype=float).copy()
-    for i, tag in enumerate(p.domains):
-        row = s[i]
-        if tag == NONNEG:
-            centered = row - row.mean()
-            if np.mean(centered ** 3) < 0:
-                row = -row
-            lo = np.quantile(row, 1.0 - quantile)
-            hi = np.quantile(row, quantile)
-            s[i] = (row - lo) / max(hi - lo, np.finfo(float).tiny)
-        else:
-            hi = np.quantile(np.abs(row), quantile)
-            s[i] = row / max(hi, np.finfo(float).tiny)
-    return project_columns(p, s)

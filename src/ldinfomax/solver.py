@@ -16,10 +16,19 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from . import evaluation
+from .ica import whiten
 from .polytopes import NONNEG, contains, project_columns
+from .stats import (
+    _center,
+    _cholesky,
+    _covariance,
+    _cross,
+    _error_covariance,
+    _half_logdet,
+)
 
 __all__ = [
     "DivergenceError",
@@ -31,29 +40,22 @@ __all__ = [
     "initialize",
     "run",
     "run_best_of",
-    "step",
     "step_size",
-    "write_trajectory_csv",
 ]
 
-SCHEDULES = ("inverse_sqrt", "constant", "inverse_sqrt_stabilized")
-INIT_STRATEGIES = ("projected_random_map", "random", "interior_map")
-AVERAGING_MODES = ("poly", "none")
+SCHEDULES = ("inverse_sqrt",)
+INIT_STRATEGIES = ("projected_random_map", "random")
+# iterate j of the running average is weighted proportionally to j**AVERAGING_POWER
+AVERAGING_POWER = 6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Hyperparameters of the projected gradient solver.
 
-    ``schedule`` selects the step rule: ``"inverse_sqrt"`` uses
-    ``mu0 / sqrt(k + 1)``; ``"constant"`` uses ``mu0``;
-    ``"inverse_sqrt_stabilized"`` additionally clamps each step to the local
-    curvature stability bound, which keeps desk-scale runs (small N) from
-    overshooting while the schedule is still large.
-
-    ``averaging="poly"`` maintains the polynomial-decay iterate average that
-    is returned as the solver's estimate; ``averaging_power`` weights iterate
-    ``j`` proportionally to ``j**averaging_power``.
+    The step rule is ``mu0 / sqrt(k + 1)``; ``schedule`` names it and accepts
+    only ``"inverse_sqrt"``. ``init`` picks the starting point (see
+    :func:`initialize`).
     """
 
     epsilon: float = 1e-5
@@ -63,8 +65,6 @@ class SolverConfig:
     seed: int = 0
     record_every: int = 100
     init: str = "projected_random_map"
-    averaging: str = "poly"
-    averaging_power: int = 6
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -77,8 +77,6 @@ class SolverConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {self.init!r}")
-        if self.averaging not in AVERAGING_MODES:
-            raise ValueError(f"unknown averaging mode {self.averaging!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -112,8 +110,6 @@ class DivergenceError(RuntimeError):
 
 def step_size(cfg, k):
     """Scheduled step size at iteration ``k`` (0-based)."""
-    if cfg.schedule == "constant":
-        return cfg.mu0
     return cfg.mu0 / math.sqrt(k + 1)
 
 
@@ -130,41 +126,31 @@ class _RunContext:
             raise ValueError("mixtures must be an (M, N) matrix with N >= 2")
         self.n = y.shape[1]
         self.epsilon = float(epsilon)
-        self.yc = y - y.mean(axis=1, keepdims=True)
-        m = y.shape[0]
-        r_y = self.yc @ self.yc.T / self.n
-        self.cho_y = cho_factor(_sym(r_y) + epsilon * np.eye(m), lower=True)
+        self.yc = _center(y)
+        self.cho_y = _cholesky(_covariance(self.yc), self.epsilon, "R_y")
         # (R_y + eps I)^{-1} Yc, reused by every gradient evaluation
         self.g_yc = cho_solve(self.cho_y, self.yc)
 
 
 class _Stats:
-    """Source-side factorizations shared by the objective and the gradient."""
+    """Source-side factorizations shared by the objective and the gradient.
+
+    ``objective`` is :func:`ldinfomax.stats.ld_mutual_information` of the
+    iterate, computed by the same kernel without input validation.
+    """
 
     def __init__(self, s, ctx):
-        r, n = s.shape
-        eps = ctx.epsilon
-        self.sc = s - s.mean(axis=1, keepdims=True)
-        self.r_s = _sym(self.sc @ self.sc.T / n)
-        self.r_sy = self.sc @ ctx.yc.T / n
-        r_e = self.r_s - self.r_sy @ cho_solve(ctx.cho_y, self.r_sy.T)
-        self.r_e = _sym(r_e)
-        try:
-            self.cho_s = cho_factor(self.r_s + eps * np.eye(r), lower=True)
-            self.cho_e = cho_factor(self.r_e + eps * np.eye(r), lower=True)
-        except LinAlgError as exc:
-            raise np.linalg.LinAlgError(f"regularized covariance not PD: {exc}") from exc
-        self.objective = float(
-            np.sum(np.log(np.diag(self.cho_s[0]))) - np.sum(np.log(np.diag(self.cho_e[0])))
-        )
+        self.sc = _center(s)
+        r_s = _covariance(self.sc)
+        self.r_sy = _cross(self.sc, ctx.yc)
+        r_e = _error_covariance(r_s, self.r_sy, ctx.cho_y)
+        self.cho_s = _cholesky(r_s, ctx.epsilon, "R_s")
+        self.cho_e = _cholesky(r_e, ctx.epsilon, "R_e")
+        self.objective = _half_logdet(self.cho_s) - _half_logdet(self.cho_e)
 
     def gradient(self, ctx):
         resid = self.sc - self.r_sy @ ctx.g_yc
         return (cho_solve(self.cho_s, self.sc) - cho_solve(self.cho_e, resid)) / ctx.n
-
-
-def _sym(a):
-    return 0.5 * (a + a.T)
 
 
 def gradient(s, y, epsilon):
@@ -181,20 +167,6 @@ def gradient(s, y, epsilon):
     return _Stats(s, ctx).gradient(ctx)
 
 
-def _stabilized_step(mu, st, eps, n):
-    """Clamp the scheduled step to the local curvature stability bound.
-
-    The objective's dominant curvature scales as
-    ``(1/lambda_min(R_e+eps I) + 1/lambda_min(R_s+eps I)) / N``; gradient
-    ascent on a quadratic stays stable up to twice the inverse curvature,
-    and steps beyond that overshoot and bounce instead of ascending.
-    """
-    lam_e = float(np.linalg.eigvalsh(st.r_e)[0]) + eps
-    lam_s = float(np.linalg.eigvalsh(st.r_s)[0]) + eps
-    bound = 2.0 * n / (1.0 / lam_e + 1.0 / lam_s)
-    return min(mu, bound)
-
-
 # ---------------------------------------------------------------------------
 # initialization
 
@@ -206,62 +178,37 @@ def initialize(y, p, cfg):
     whitens the mixtures to ``p.dim`` principal components, applies a random
     orthonormal map, rescales by the largest column norm, shifts nonnegative
     coordinates by +0.5, and projects every column into the polytope. When
-    the mixtures have rank below ``p.dim`` it falls back to "random" and
-    emits a warning. "interior_map" squashes the rotated whitened components
-    into the interior of the box through a logistic map and shrinks any
-    violating group columns, which conditions the early iterations better on
-    small polytopes.
+    the mixtures have rank below ``p.dim`` it falls back to "random" (uniform
+    draws in the bounding box, projected) and emits a warning.
+
+    Raises
+    ------
+    ValueError
+        If the polytope has more coordinates than there are mixtures.
     """
     y = np.asarray(y, dtype=float)
+    m = y.shape[0]
+    if p.dim > m:
+        raise ValueError(f"cannot estimate r={p.dim} sources from M={m} mixtures")
     rng = np.random.default_rng(cfg.seed)
-    strategy = cfg.init
-    z = None
-    if strategy in ("projected_random_map", "interior_map"):
-        z = _whitened_components(y, p.dim)
-        if z is None:
+    if cfg.init == "projected_random_map":
+        try:
+            z, _ = whiten(y, p.dim)
+        except np.linalg.LinAlgError:
             warnings.warn(
                 "mixture rank below the source count; falling back to random init",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            strategy = "random"
+        else:
+            x = _random_orthonormal(p.dim, rng) @ z
+            x = x / max(np.linalg.norm(x, axis=0).max(), np.finfo(float).tiny)
+            shift = np.array([0.5 if t == NONNEG else 0.0 for t in p.domains])
+            return project_columns(p, x + shift[:, None]), cfg.init
 
-    if strategy == "random":
-        lo = p.lower[:, None]
-        s0 = lo + (p.upper[:, None] - lo) * rng.random((p.dim, y.shape[1]))
-        return project_columns(p, s0), "random"
-
-    q = _random_orthonormal(p.dim, rng)
-    x = q @ z
-    if strategy == "projected_random_map":
-        x = x / max(np.linalg.norm(x, axis=0).max(), np.finfo(float).tiny)
-        shift = np.array([0.5 if t == NONNEG else 0.0 for t in p.domains])
-        x = x + shift[:, None]
-        return project_columns(p, x), strategy
-
-    # interior_map: logistic squash into the open box, then shrink into groups
-    u = 1.0 / (1.0 + np.exp(-x))
-    s0 = np.where(
-        np.array([t == NONNEG for t in p.domains])[:, None], u, 2.0 * u - 1.0
-    )
-    for g in p.l1_groups:
-        g = list(g)
-        norms = np.abs(s0[g]).sum(axis=0)
-        scale = np.minimum(1.0, 0.9 / np.maximum(norms, np.finfo(float).tiny))
-        s0[g] *= scale
-    return project_columns(p, s0), strategy
-
-
-def _whitened_components(y, r):
-    """Top-r whitened principal components of the mixtures, or None if rank-deficient."""
-    yc = y - y.mean(axis=1, keepdims=True)
-    r_y = _sym(yc @ yc.T / y.shape[1])
-    w, v = np.linalg.eigh(r_y)
-    order = np.argsort(w)[::-1][:r]
-    w = w[order]
-    if w[-1] <= max(w[0], 0.0) * 1e-12 or w[-1] <= 0.0:
-        return None
-    return (v[:, order] / np.sqrt(w)).T @ yc
+    lo = p.lower[:, None]
+    s0 = lo + (p.upper[:, None] - lo) * rng.random((p.dim, y.shape[1]))
+    return project_columns(p, s0), "random"
 
 
 def _random_orthonormal(r, rng):
@@ -276,16 +223,11 @@ def _random_orthonormal(r, rng):
 def _advance(state, p, cfg, ctx, stats):
     """One update from ``stats`` of the current iterate; returns new (state, stats)."""
     mu = step_size(cfg, state.k)
-    if cfg.schedule == "inverse_sqrt_stabilized":
-        mu = _stabilized_step(mu, stats, ctx.epsilon, ctx.n)
     s_new = project_columns(p, state.s + mu * stats.gradient(ctx))
     new_stats = _Stats(s_new, ctx)
     k_new = state.k + 1
-    if cfg.averaging == "poly":
-        beta = (cfg.averaging_power + 1.0) / (k_new + cfg.averaging_power)
-        estimate = (1.0 - beta) * state.estimate + beta * s_new
-    else:
-        estimate = s_new
+    beta = (AVERAGING_POWER + 1.0) / (k_new + AVERAGING_POWER)
+    estimate = (1.0 - beta) * state.estimate + beta * s_new
     new_state = SolverState(
         s=s_new,
         k=k_new,
@@ -299,17 +241,6 @@ def _advance(state, p, cfg, ctx, stats):
             f"objective became non-finite at iteration {k_new}", new_state
         )
     return new_state, new_stats
-
-
-def step(state, y, p, cfg):
-    """Apply one projected gradient step to ``state`` and return the new state.
-
-    Recomputes the mixture-side cache; inside :func:`run` the cache is built
-    once and reused.
-    """
-    ctx = _RunContext(y, cfg.epsilon)
-    new_state, _ = _advance(state, p, cfg, ctx, _Stats(state.s, ctx))
-    return new_state
 
 
 def canonical_orientation(s, y, p):
@@ -329,13 +260,11 @@ def canonical_orientation(s, y, p):
     if not nn:
         return s
     y = np.asarray(y, dtype=float)
-    n = s.shape[1]
-    sc = s - s.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    gram = sc @ sc.T / n
+    sc = _center(s)
+    gram = _cross(sc, sc)
     try:
         # least-squares mixing from Yc ~ H Sc
-        h_hat = np.linalg.solve(gram + 1e-12 * np.eye(p.dim), sc @ yc.T / n).T
+        h_hat = np.linalg.solve(gram + 1e-12 * np.eye(p.dim), _cross(sc, _center(y))).T
     except np.linalg.LinAlgError:
         return s
     mu_y = y.mean(axis=1)
@@ -417,27 +346,3 @@ def run_best_of(y, p, cfg, starts, ground_truth=None):
         if obj > best_obj:
             best_state, best_obj = state, obj
     return best_state
-
-
-def write_trajectory_csv(state, path):
-    """Write the recorded trajectory as CSV.
-
-    Columns are ``iteration,objective`` plus ``sinr_db`` when ground truth
-    was supplied to the run. Floats use 12 significant digits.
-    """
-    has_sinr = any(pt.sinr_db is not None for pt in state.trajectory)
-    header = "iteration,objective,sinr_db" if has_sinr else "iteration,objective"
-    lines = [header]
-    for pt in state.trajectory:
-        row = f"{pt.iteration},{_fmt(pt.objective)}"
-        if has_sinr:
-            row += f",{_fmt(pt.sinr_db)}"
-        lines.append(row)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _fmt(x):
-    if x is None:
-        return ""
-    return f"{float(x):.12g}"

@@ -5,6 +5,11 @@ covariances, regularized log-determinants computed through Cholesky
 factorizations, the log-determinant (LD) entropy of a covariance matrix,
 the error covariance of the best regularized linear predictor, and the
 LD-mutual information between two sample sets.
+
+The public functions validate their inputs and then call a small private
+kernel (centering, covariance, shifted Cholesky, half-logdet, conditional
+error covariance). The solver calls that kernel directly, without the
+validation, so its objective is :func:`ld_mutual_information` bit for bit.
 """
 
 from dataclasses import dataclass
@@ -54,6 +59,71 @@ def _check_symmetric(a, name):
     return a
 
 
+def _check_epsilon(epsilon):
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+
+
+# ---------------------------------------------------------------------------
+# unvalidated kernel, shared with the solver's per-iteration statistics
+
+
+def _center(x):
+    """Subtract each row's mean."""
+    return x - x.mean(axis=1, keepdims=True)
+
+
+def _cross(ac, bc):
+    """Biased cross covariance of row-centered samples."""
+    return ac @ bc.T / ac.shape[1]
+
+
+def _covariance(xc):
+    """Symmetrized biased covariance of row-centered samples."""
+    return _symmetrize(_cross(xc, xc))
+
+
+def _cholesky(a, epsilon, name):
+    """Lower Cholesky factor (scipy ``cho_factor`` pair) of symmetric ``a + epsilon*I``.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If the shifted matrix is not positive definite. A non-PD shifted
+        matrix signals an invalid numerical state rather than a -inf value.
+    """
+    try:
+        return cho_factor(a + epsilon * np.eye(a.shape[0]), lower=True)
+    except LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"{name} + {epsilon}*I is not positive definite: {exc}"
+        ) from exc
+
+
+def _half_logdet(cho):
+    """``0.5 * log det`` of the matrix whose Cholesky pair is ``cho``."""
+    return float(np.sum(np.log(np.diag(cho[0]))))
+
+
+def _error_covariance(r_s, r_sy, cho_y):
+    """``r_s - r_sy (r_y + eps*I)^{-1} r_syᵀ``, symmetrized, from the factor of ``r_y``."""
+    return _symmetrize(r_s - r_sy @ cho_solve(cho_y, r_sy.T))
+
+
+# ---------------------------------------------------------------------------
+# validated public measures
+
+
+def _as_pair(s, y):
+    s = _as_samples(s, "s")
+    y = _as_samples(y, "y")
+    if s.shape[1] != y.shape[1]:
+        raise ValueError(
+            f"sample counts differ: s has {s.shape[1]}, y has {y.shape[1]}"
+        )
+    return s, y
+
+
 def sample_covariance(x):
     """Biased (1/N) sample covariance of the columns of ``x``.
 
@@ -67,9 +137,7 @@ def sample_covariance(x):
     ndarray, shape (r, r)
         Symmetrized sample covariance ``X Xᵀ/N - (X 1)(X 1)ᵀ/N²``.
     """
-    x = _as_samples(x)
-    xc = x - x.mean(axis=1, keepdims=True)
-    return _symmetrize(xc @ xc.T / x.shape[1])
+    return _covariance(_center(_as_samples(x)))
 
 
 def cross_covariance(s, y):
@@ -78,16 +146,8 @@ def cross_covariance(s, y):
     Both inputs must have the same number of columns. ``cross_covariance(x, x)``
     equals ``sample_covariance(x)``.
     """
-    s = _as_samples(s, "s")
-    y = _as_samples(y, "y")
-    if s.shape[1] != y.shape[1]:
-        raise ValueError(
-            f"sample counts differ: s has {s.shape[1]}, y has {y.shape[1]}"
-        )
-    n = s.shape[1]
-    sc = s - s.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    return sc @ yc.T / n
+    s, y = _as_pair(s, y)
+    return _cross(_center(s), _center(y))
 
 
 def logdet_regularized(cov, epsilon):
@@ -96,20 +156,11 @@ def logdet_regularized(cov, epsilon):
     Raises
     ------
     numpy.linalg.LinAlgError
-        If ``cov + epsilon*I`` is not positive definite. A non-PD shifted
-        matrix signals an invalid numerical state rather than a -inf value.
+        If ``cov + epsilon*I`` is not positive definite.
     """
     cov = _check_symmetric(cov, "cov")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    shifted = _symmetrize(cov) + epsilon * np.eye(cov.shape[0])
-    try:
-        c, _ = cho_factor(shifted, lower=True)
-    except LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"cov + {epsilon}*I is not positive definite: {exc}"
-        ) from exc
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
+    _check_epsilon(epsilon)
+    return 2.0 * _half_logdet(_cholesky(_symmetrize(cov), epsilon, "cov"))
 
 
 def ld_entropy(cov, epsilon):
@@ -152,8 +203,7 @@ class CovarianceBundle:
             raise ValueError(
                 f"r_sy must have shape {(r_s.shape[0], r_y.shape[0])}, got {r_sy.shape}"
             )
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _check_epsilon(self.epsilon)
         for name, mat in (("r_s", r_s), ("r_y", r_y)):
             w = np.linalg.eigvalsh(_symmetrize(mat))
             if w[0] < -1e-10 * max(1.0, abs(w[-1])):
@@ -170,14 +220,8 @@ def conditional_error_covariance(bundle):
     covariance left in the first block after linearly estimating it from the
     second. The result plus ``eps*I`` is positive definite for any PSD bundle.
     """
-    eps = bundle.epsilon
-    m = bundle.r_y.shape[0]
-    try:
-        c = cho_factor(_symmetrize(bundle.r_y) + eps * np.eye(m), lower=True)
-    except LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"r_y + {eps}*I failed to factorize: {exc}") from exc
-    reduction = bundle.r_sy @ cho_solve(c, bundle.r_sy.T)
-    return _symmetrize(bundle.r_s - reduction)
+    cho_y = _cholesky(_symmetrize(bundle.r_y), bundle.epsilon, "r_y")
+    return _error_covariance(bundle.r_s, bundle.r_sy, cho_y)
 
 
 def ld_mutual_information(s, y, epsilon):
@@ -194,8 +238,11 @@ def ld_mutual_information(s, y, epsilon):
     epsilon : float
         Positive regularizer applied to every log-determinant.
     """
-    r_s = sample_covariance(s)
-    r_y = sample_covariance(y)
-    r_sy = cross_covariance(s, y)
-    r_e = conditional_error_covariance(CovarianceBundle(r_s, r_y, r_sy, epsilon))
-    return 0.5 * (logdet_regularized(r_s, epsilon) - logdet_regularized(r_e, epsilon))
+    s, y = _as_pair(s, y)
+    _check_epsilon(epsilon)
+    sc, yc = _center(s), _center(y)
+    r_s = _covariance(sc)
+    cho_y = _cholesky(_covariance(yc), epsilon, "R_y")
+    r_e = _error_covariance(r_s, _cross(sc, yc), cho_y)
+    half_s = _half_logdet(_cholesky(r_s, epsilon, "R_s"))
+    return half_s - _half_logdet(_cholesky(r_e, epsilon, "R_e"))

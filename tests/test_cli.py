@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ldinfomax import ica, solver
 from ldinfomax.cli import main
 from ldinfomax.config import (
     ExperimentConfig,
@@ -71,6 +72,16 @@ class TestConfigRoundtrip:
         cfg = experiment_from_mapping({})
         assert cfg == ExperimentConfig()
 
+    def test_unknown_keys_rejected(self, tmp_path):
+        # a misspelt key, and a removed key that older sidecars still carry
+        for key in ("solver.iteration", "solver.averaging_power"):
+            with pytest.raises(ValueError, match=key):
+                experiment_from_mapping({key: "5"})
+        path = tmp_path / "typo.cfg"
+        path.write_text("solver.iteration = 5\n")
+        with pytest.raises(ValueError, match="solver.iteration"):
+            load_experiment(path)
+
 
 class TestGen:
     def test_writes_files_and_summary(self, tmp_path, capsys):
@@ -139,6 +150,35 @@ class TestRun:
         save_experiment(small_experiment(seed=7, algo="both"), cfg_path)
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def _failing(*args, **kwargs):
+    raise RuntimeError("injected failure")
+
+
+class TestFailedTrials:
+    def test_run_exits_nonzero_when_no_trial_succeeds(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        save_experiment(small_experiment(seed=4), cfg_path)
+        monkeypatch.setattr(solver, "run", _failing)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        rows = (out / "trials.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 2 and all("failed: injected failure" in r for r in rows)
+        assert not (out / "convergence.csv").exists()
+        assert "no trial succeeded" in capsys.readouterr().err
+
+    def test_sweep_exits_nonzero_when_a_cell_is_empty(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        save_experiment(
+            small_experiment(seed=8, algo="both", rho_grid=(0.0,), trials=1), cfg_path
+        )
+        monkeypatch.setattr(ica, "ica_separate", _failing)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0,ld_infomax")
+        assert "no trial succeeded for rho=0 ica" in capsys.readouterr().err
 
 
 class TestSweep:

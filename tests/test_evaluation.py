@@ -163,12 +163,6 @@ class TestAggregate:
             assert mean[j] == pytest.approx(m, abs=1e-12)
             assert std[j] == pytest.approx(np.sqrt(var), abs=1e-12)
 
-    def test_grid_subset(self):
-        curves = [[(0, 1.0), (10, 2.0), (20, 3.0)]]
-        grid, mean, _ = aggregate(curves, at=[10, 20])
-        assert np.allclose(grid, [10, 20])
-        assert np.allclose(mean, [2.0, 3.0])
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])

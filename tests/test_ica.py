@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from ldinfomax.datagen import ScenarioConfig, make_scenario
 from ldinfomax.evaluation import sinr_db
 from ldinfomax.ica import (
     IcaConfig,
     IcaDivergenceError,
     ica_infomax,
     ica_separate,
-    rescale_into_polytope,
     whiten,
 )
-from ldinfomax.polytopes import contains, preset
 from ldinfomax.stats import sample_covariance
 
 
@@ -50,7 +47,8 @@ class TestWhiten:
     def test_rank_deficiency_rejected(self):
         rng = np.random.default_rng(3)
         y = np.outer(rng.standard_normal(4), rng.standard_normal(300))
-        with pytest.raises(ValueError):
+        # a LinAlgError (a ValueError) is what sends the solver to random init
+        with pytest.raises(np.linalg.LinAlgError):
             whiten(y, 2)
 
 
@@ -120,26 +118,6 @@ class TestIcaSeparate:
             if sinr_db(ica_separate(y, 3, IcaConfig()), s) >= 25.0:
                 good += 1
         assert good >= 18
-
-
-class TestRescaleIntoPolytope:
-    def test_output_feasible(self):
-        cfg = ScenarioConfig(r=3, m=5, n=1500, rho=0.3, polytope=preset("l1_nonneg", 3), seed=12)
-        scenario = make_scenario(cfg)
-        s_est = ica_separate(scenario.y, 3, IcaConfig())
-        fitted = rescale_into_polytope(s_est, cfg.polytope)
-        assert contains(cfg.polytope, fitted, tol=1e-9)
-
-    def test_recovers_affine_transform(self):
-        # skewed truth rows in [0, 1] (orientation is read from skewness, so
-        # symmetric rows would keep a reflection ambiguity); estimate rows are
-        # affinely distorted copies, one of them negated
-        rng = np.random.default_rng(13)
-        truth = rng.random((2, 4000)) ** 2
-        p = preset("linf_nonneg", 2)
-        distorted = np.vstack([3.0 * truth[0] - 1.0, -0.5 * truth[1] + 2.0])
-        fitted = rescale_into_polytope(distorted, p)
-        assert sinr_db(fitted, truth) > 20.0
 
 
 class TestIcaConfigValidation:
