@@ -46,16 +46,6 @@ def _sidecar(cfg, out_dir, name="experiment.cfg"):
     write_kv(Path(out_dir) / name, experiment_to_mapping(cfg))
 
 
-def _trial_configs(cfg, trial):
-    """Per-trial configs: child seeds are master seed + trial index."""
-    seed = cfg.scenario.seed + trial
-    return (
-        replace(cfg.scenario, seed=seed),
-        replace(cfg.solver, seed=seed),
-        replace(cfg.ica, seed=seed),
-    )
-
-
 def cmd_gen(cfg, out_dir):
     """Generate one scenario and write its matrices and sidecar."""
     out = Path(out_dir)
@@ -81,30 +71,41 @@ def cmd_gen(cfg, out_dir):
     return 0
 
 
-def _run_ld_trial(scenario, scenario_cfg, solver_cfg, starts):
-    if starts > 1:
-        state = solver.run_best_of(
-            scenario.y, scenario_cfg.polytope, solver_cfg, starts,
-            ground_truth=scenario.s_true,
-        )
-    else:
-        state = solver.run(
-            scenario.y, scenario_cfg.polytope, solver_cfg,
-            ground_truth=scenario.s_true,
-        )
-    curve = [(pt.iteration, pt.sinr_db) for pt in state.trajectory]
-    final_sinr = evaluation.sinr_db(state.estimate, scenario.s_true)
-    return curve, final_sinr, state.objective
+def _trial(cfg, trial, rho, algos):
+    """Run trial ``trial`` at correlation ``rho`` with each algorithm in ``algos``.
 
-
-def _run_ica_trial(scenario, scenario_cfg, ica_cfg):
-    # the per-row affine fit against the truth mirrors the error-minimizing
-    # diagonal of the evaluation convention; the LD solver gets no such aid
-    s_est = ica.ica_separate(scenario.y, scenario_cfg.r, ica_cfg)
-    s_est = ica.affine_match_to_reference(s_est, scenario.s_true)
-    final_sinr = evaluation.sinr_db(s_est, scenario.s_true)
-    curve = [(ica_cfg.max_iter, final_sinr)]
-    return curve, final_sinr, float("nan")
+    Scenario, solver and ICA are seeded with the master seed + ``trial``.
+    Returns ``(seed, results)``: ``results`` maps each algorithm to
+    ``(curve, final_sinr, objective)`` or to the exception that failed it. A
+    scenario that fails to generate fails every algorithm.
+    """
+    seed = cfg.scenario.seed + trial
+    try:
+        scenario_cfg = replace(cfg.scenario, seed=seed, rho=rho)
+        scenario = make_scenario(scenario_cfg)
+    except Exception as exc:  # a failed trial is recorded, not fatal
+        return seed, {algo: exc for algo in algos}
+    results = {}
+    for algo in algos:
+        try:
+            if algo == "ld_infomax":
+                state = solver.run_best_of(
+                    scenario.y, scenario_cfg.polytope, replace(cfg.solver, seed=seed),
+                    cfg.starts, ground_truth=scenario.s_true,
+                )
+                curve = [(pt.iteration, pt.sinr_db) for pt in state.trajectory]
+                final_sinr = evaluation.sinr_db(state.estimate, scenario.s_true)
+                results[algo] = (curve, final_sinr, state.objective)
+            else:
+                # the per-row affine fit against the truth mirrors the error-minimizing
+                # diagonal of the evaluation convention; the LD solver gets no such aid
+                s_est = ica.ica_separate(scenario.y, scenario_cfg.r, replace(cfg.ica, seed=seed))
+                s_est = ica.affine_match_to_reference(s_est, scenario.s_true)
+                final_sinr = evaluation.sinr_db(s_est, scenario.s_true)
+                results[algo] = ([(cfg.ica.max_iter, final_sinr)], final_sinr, float("nan"))
+        except Exception as exc:
+            results[algo] = exc
+    return seed, results
 
 
 def cmd_run(cfg, out_dir):
@@ -118,23 +119,16 @@ def cmd_run(cfg, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     curves, finals = [], []
     for trial in range(cfg.trials):
-        scenario_cfg, solver_cfg, ica_cfg = _trial_configs(cfg, trial)
-        try:
-            scenario = make_scenario(scenario_cfg)
-            if cfg.algo == "ld_infomax":
-                curve, final_sinr, objective = _run_ld_trial(
-                    scenario, scenario_cfg, solver_cfg, cfg.starts
-                )
-            else:
-                curve, final_sinr, objective = _run_ica_trial(
-                    scenario, scenario_cfg, ica_cfg
-                )
-            curves.append(curve)
-            finals.append((trial, scenario_cfg.seed, "ok", objective, final_sinr))
-            print(f"trial {trial}: final SINR {final_sinr:.2f} dB", flush=True)
-        except Exception as exc:  # a failed trial is recorded, not fatal
-            finals.append((trial, scenario_cfg.seed, f"failed: {exc}", "", ""))
-            print(f"trial {trial} failed: {exc}", file=sys.stderr, flush=True)
+        seed, results = _trial(cfg, trial, cfg.scenario.rho, (cfg.algo,))
+        result = results[cfg.algo]
+        if isinstance(result, Exception):
+            finals.append((trial, seed, f"failed: {result}", "", ""))
+            print(f"trial {trial} failed: {result}", file=sys.stderr, flush=True)
+            continue
+        curve, final_sinr, objective = result
+        curves.append(curve)
+        finals.append((trial, seed, "ok", objective, final_sinr))
+        print(f"trial {trial}: final SINR {final_sinr:.2f} dB", flush=True)
 
     if curves:
         grid, mean, std = evaluation.aggregate(curves)
@@ -143,6 +137,9 @@ def cmd_run(cfg, out_dir):
             ("iteration", "sinr_mean_db", "sinr_std_db"),
             zip(grid.tolist(), mean.tolist(), std.tolist()),
         )
+    else:
+        # an earlier run's table must not sit beside this run's failures
+        (out / "convergence.csv").unlink(missing_ok=True)
     write_csv(
         out / "trials.csv",
         ("trial", "seed", "status", "final_objective", "final_sinr_db"),
@@ -160,8 +157,9 @@ def cmd_run(cfg, out_dir):
 def cmd_sweep(cfg, out_dir):
     """Sweep source correlation for each algorithm; write the comparison CSV.
 
-    A (rho, algo) cell without a successful trial has no row in sweep.csv,
-    and the command then returns 1.
+    A failed trial, including one whose scenario fails to generate, is logged
+    on stderr and left out of its cell's mean. A (rho, algo) cell without a
+    successful trial has no row in sweep.csv, and the command then returns 1.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,26 +168,16 @@ def cmd_sweep(cfg, out_dir):
     for rho in cfg.rho_grid:
         per_algo = {algo: [] for algo in algos}
         for trial in range(cfg.trials):
-            scenario_cfg, solver_cfg, ica_cfg = _trial_configs(cfg, trial)
-            scenario_cfg = replace(scenario_cfg, rho=rho)
-            scenario = make_scenario(scenario_cfg)
-            for algo in algos:
-                try:
-                    if algo == "ld_infomax":
-                        _, final_sinr, _ = _run_ld_trial(
-                            scenario, scenario_cfg, solver_cfg, cfg.starts
-                        )
-                    else:
-                        _, final_sinr, _ = _run_ica_trial(
-                            scenario, scenario_cfg, ica_cfg
-                        )
-                    per_algo[algo].append(final_sinr)
-                except Exception as exc:
+            _, results = _trial(cfg, trial, rho, algos)
+            for algo, result in results.items():
+                if isinstance(result, Exception):
                     print(
-                        f"rho={format_float(rho)} {algo} trial {trial} failed: {exc}",
+                        f"rho={format_float(rho)} {algo} trial {trial} failed: {result}",
                         file=sys.stderr,
                         flush=True,
                     )
+                else:
+                    per_algo[algo].append(result[1])
         for algo in algos:
             vals = np.asarray(per_algo[algo], dtype=float)
             if vals.size == 0:

@@ -1,17 +1,19 @@
 """On-disk formats: flat key-value experiment configs and CSV tables.
 
 A config file has one ``section.key = value`` assignment per line with
-``#`` comments, diff-friendly and trivially parseable; unknown keys are
-rejected. Polytopes serialize as a preset name, or as ``custom`` plus
-explicit domain tags and group index lists. CSV tables format every float
-with :func:`format_float`, so reruns with one seed give identical bytes.
+``#`` comments, diff-friendly and trivially parseable. The keys are the
+fields of the config dataclasses in declaration order, each value parsed by
+its field's type; unknown keys are rejected. Polytopes serialize as a
+preset name, or as ``custom`` plus explicit domain tags and group index
+lists. CSV tables format every float with :func:`format_float`, so reruns
+with one seed give identical bytes.
 """
 
-import math
-from dataclasses import dataclass, field
-from pathlib import Path
+import csv
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
-from .datagen import ScenarioConfig
+from .datagen import ScenarioConfig, _check_rho
 from .ica import IcaConfig
 from .polytopes import PRESET_NAMES, PolytopeSpec, preset
 from .solver import SolverConfig
@@ -57,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("starts must be >= 1")
         if not self.rho_grid:
             raise ValueError("rho_grid must not be empty")
+        for rho in self.rho_grid:
+            _check_rho(self.scenario.r, rho)
 
 
 def format_float(x):
@@ -70,12 +74,15 @@ def format_float(x):
 
 
 def write_csv(path, header, rows):
-    """Write a CSV table; float cells go through :func:`format_float`."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = (format_float(v) if isinstance(v, float) else str(v) for v in row)
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a CSV table; float cells go through :func:`format_float`.
+
+    Cells holding a comma, a quote or a newline are quoted.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(format_float(v) if isinstance(v, float) else v for v in row)
 
 
 def write_trajectory_csv(state, path):
@@ -120,17 +127,17 @@ def polytope_to_fields(p, prefix="scenario.polytope"):
     for name in PRESET_NAMES:
         if p == preset(name, p.dim):
             return {prefix: name}
-    fields = {prefix: "custom"}
-    fields[f"{prefix}.domains"] = ", ".join(p.domains)
-    fields[f"{prefix}.groups"] = "; ".join(
+    out = {prefix: "custom"}
+    out[f"{prefix}.domains"] = ", ".join(p.domains)
+    out[f"{prefix}.groups"] = "; ".join(
         " ".join(str(i) for i in g) for g in p.l1_groups
     )
-    return fields
+    return out
 
 
 def polytope_from_fields(mapping, dim, prefix="scenario.polytope"):
     """Inverse of :func:`polytope_to_fields`."""
-    name = mapping.get(prefix, "l1_nonneg")
+    name = mapping[prefix]
     if name != "custom":
         return preset(name, dim)
     domains = tuple(t.strip() for t in mapping[f"{prefix}.domains"].split(",") if t.strip())
@@ -143,58 +150,61 @@ def polytope_from_fields(mapping, dim, prefix="scenario.polytope"):
     return PolytopeSpec(len(domains), domains, groups)
 
 
-def _parse_optional_float(text):
-    text = text.strip().lower()
-    if text in ("none", ""):
-        return None
-    if text == "inf":
-        return math.inf
-    return float(text)
+def _section_items(obj):
+    """(field name, type hint, value) of each field of a config dataclass."""
+    hints = typing.get_type_hints(type(obj))
+    return [(f.name, hints[f.name], getattr(obj, f.name)) for f in fields(obj)]
 
 
-def _parse_optional_int(text):
-    text = text.strip().lower()
-    if text in ("none", ""):
+def _value_type(hint):
+    """The type of a field hint without ``None``, and whether ``None`` is allowed."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return next(a for a in args if a is not type(None)), True
+    return hint, False
+
+
+def _format_value(value, hint):
+    kind, _ = _value_type(hint)
+    if kind is tuple:
+        return ", ".join(format_float(v) for v in value)
+    if kind is float or value is None:
+        return format_float(value)
+    return str(value)
+
+
+def _parse_value(text, hint):
+    """Parse a config value as an int, float, str or tuple of floats field.
+
+    Other field types need a case here; ``bool("false")``, for one, is true.
+    """
+    kind, optional = _value_type(hint)
+    if optional and text.strip().lower() in ("none", ""):
         return None
-    return int(text)
+    if kind is tuple:
+        return tuple(float(v) for v in text.split(",") if v.strip())
+    return kind(text)
+
+
+def _sections(cfg):
+    """(key prefix, section) pairs: each nested config, then the experiment."""
+    nested = [(name, value) for name, _, value in _section_items(cfg) if is_dataclass(value)]
+    return nested + [("experiment", cfg)]
 
 
 def experiment_to_mapping(cfg):
-    """Flatten an :class:`ExperimentConfig` into ordered key-value pairs."""
-    sc, sv, ic = cfg.scenario, cfg.solver, cfg.ica
-    mapping = {
-        "scenario.r": str(sc.r),
-        "scenario.m": str(sc.m),
-        "scenario.n": str(sc.n),
-        "scenario.rho": format_float(sc.rho),
-        "scenario.dof": str(sc.dof),
-        "scenario.snr_db": format_float(sc.snr_db),
-    }
-    mapping.update(polytope_to_fields(sc.polytope))
-    mapping.update(
-        {
-            "scenario.source_mode": sc.source_mode,
-            "scenario.l1_mode": sc.l1_mode,
-            "scenario.seed": str(sc.seed),
-            "solver.epsilon": format_float(sv.epsilon),
-            "solver.mu0": format_float(sv.mu0),
-            "solver.iterations": str(sv.iterations),
-            "solver.schedule": sv.schedule,
-            "solver.record_every": str(sv.record_every),
-            "solver.init": sv.init,
-            "solver.seed": str(sv.seed),
-            "ica.learning_rate": format_float(ic.learning_rate),
-            "ica.max_iter": str(ic.max_iter),
-            "ica.tol": format_float(ic.tol),
-            "ica.n_subgauss": "none" if ic.n_subgauss is None else str(ic.n_subgauss),
-            "ica.seed": str(ic.seed),
-            "experiment.algo": cfg.algo,
-            "experiment.trials": str(cfg.trials),
-            "experiment.rho_grid": ", ".join(format_float(v) for v in cfg.rho_grid),
-            "experiment.starts": str(cfg.starts),
-            "experiment.output_dir": cfg.output_dir,
-        }
-    )
+    """Flatten an :class:`ExperimentConfig` into ordered key-value pairs.
+
+    Keys are ``section.field`` in field declaration order.
+    """
+    mapping = {}
+    for prefix, section in _sections(cfg):
+        for name, hint, value in _section_items(section):
+            key = f"{prefix}.{name}"
+            if hint is PolytopeSpec:
+                mapping.update(polytope_to_fields(value, key))
+            elif not is_dataclass(value):
+                mapping[key] = _format_value(value, hint)
     return mapping
 
 
@@ -213,54 +223,20 @@ def experiment_from_mapping(mapping):
     unknown = [key for key in mapping if key not in known]
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    dsc, dsv, dic = defaults.scenario, defaults.solver, defaults.ica
-
-    def get(key, fallback):
-        return mapping.get(key, fallback)
-
-    r = int(get("scenario.r", dsc.r))
-    scenario = ScenarioConfig(
-        r=r,
-        m=int(get("scenario.m", dsc.m)),
-        n=int(get("scenario.n", dsc.n)),
-        rho=float(get("scenario.rho", dsc.rho)),
-        dof=int(get("scenario.dof", dsc.dof)),
-        snr_db=_parse_optional_float(str(get("scenario.snr_db", dsc.snr_db))),
-        polytope=polytope_from_fields(mapping, r),
-        seed=int(get("scenario.seed", dsc.seed)),
-        source_mode=get("scenario.source_mode", dsc.source_mode),
-        l1_mode=get("scenario.l1_mode", dsc.l1_mode),
-    )
-    solver = SolverConfig(
-        epsilon=float(get("solver.epsilon", dsv.epsilon)),
-        mu0=float(get("solver.mu0", dsv.mu0)),
-        iterations=int(get("solver.iterations", dsv.iterations)),
-        schedule=get("solver.schedule", dsv.schedule),
-        seed=int(get("solver.seed", dsv.seed)),
-        record_every=int(get("solver.record_every", dsv.record_every)),
-        init=get("solver.init", dsv.init),
-    )
-    ica = IcaConfig(
-        learning_rate=float(get("ica.learning_rate", dic.learning_rate)),
-        max_iter=int(get("ica.max_iter", dic.max_iter)),
-        tol=float(get("ica.tol", dic.tol)),
-        seed=int(get("ica.seed", dic.seed)),
-        n_subgauss=_parse_optional_int(str(get("ica.n_subgauss", "none"))),
-    )
-    rho_grid = tuple(
-        float(v) for v in str(get("experiment.rho_grid", "0, 0.2, 0.4, 0.6")).split(",")
-        if v.strip()
-    )
-    return ExperimentConfig(
-        scenario=scenario,
-        solver=solver,
-        ica=ica,
-        algo=get("experiment.algo", defaults.algo),
-        trials=int(get("experiment.trials", defaults.trials)),
-        rho_grid=rho_grid,
-        starts=int(get("experiment.starts", defaults.starts)),
-        output_dir=get("experiment.output_dir", defaults.output_dir),
-    )
+    kwargs = {}
+    for prefix, section in _sections(defaults):
+        values = {}
+        for name, hint, value in _section_items(section):
+            key = f"{prefix}.{name}"
+            if hint is PolytopeSpec:
+                given = {**polytope_to_fields(value, key), **mapping}
+                values[name] = polytope_from_fields(given, values["r"], key)
+            elif is_dataclass(value):
+                values[name] = kwargs[name]
+            else:
+                values[name] = _parse_value(mapping[key], hint) if key in mapping else value
+        kwargs[prefix] = type(section)(**values)
+    return kwargs["experiment"]
 
 
 def load_experiment(path):

@@ -52,13 +52,14 @@ class ScenarioConfig:
     dof: int = 4
     snr_db: float | None = 30.0
     polytope: PolytopeSpec = field(default_factory=lambda: preset("l1_nonneg", 5))
-    seed: int = 0
     source_mode: str = "copula_t"
     l1_mode: str = "reject"
+    seed: int = 0
 
     def __post_init__(self):
         if not (self.m >= self.r >= 1):
             raise ValueError(f"need m >= r >= 1, got r={self.r}, m={self.m}")
+        _check_rho(self.r, self.rho)
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.dof < 1:
@@ -91,13 +92,18 @@ def toeplitz_correlation(r, rho):
     """
     if r < 1:
         raise ValueError("r must be positive")
+    _check_rho(r, rho)
+    return np.full((r, r), float(rho)) + (1.0 - rho) * np.eye(r)
+
+
+def _check_rho(r, rho):
+    """Raise ``ValueError`` unless ``rho`` is in (-1/(r-1), 1)."""
     lo = -1.0 / (r - 1) if r > 1 else -math.inf
     if not (lo < rho < 1.0):
         raise ValueError(
             f"rho={rho} gives a non-positive-definite matrix for r={r}; "
             f"need rho in ({lo}, 1)"
         )
-    return np.full((r, r), float(rho)) + (1.0 - rho) * np.eye(r)
 
 
 def copula_t_uniforms(r, n, rho, dof, seed):

@@ -41,8 +41,8 @@ class IcaConfig:
     learning_rate: float = 0.1
     max_iter: int = 500
     tol: float = 1e-7
-    seed: int = 0
     n_subgauss: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:

@@ -34,8 +34,9 @@ NONNEG = "nonneg"
 
 PRESET_NAMES = ("l1", "linf", "l1_nonneg", "linf_nonneg")
 
-DEFAULT_MAX_ITER = 200
-DEFAULT_TOL = 1e-10
+# Dykstra stops after this many sweeps, or once a sweep moves no entry by TOL
+DYKSTRA_MAX_SWEEPS = 200
+DYKSTRA_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 
 
@@ -227,7 +228,7 @@ def _exact_group_strategy(p):
     return tags.pop()
 
 
-def _project_matrix(p, v, max_iter, tol):
+def _project_matrix(p, v):
     """Shared column-parallel projection; v has shape (dim, N)."""
     strategy = _exact_group_strategy(p)
     if strategy == "box":
@@ -241,10 +242,10 @@ def _project_matrix(p, v, max_iter, tol):
         else:
             out[g] = _nonneg_capped_columns(sub, 1.0)
         return out, 0
-    return _dykstra_columns(p, v, max_iter, tol)
+    return _dykstra_columns(p, v)
 
 
-def _dykstra_columns(p, v, max_iter, tol):
+def _dykstra_columns(p, v):
     """Dykstra's algorithm over the box and each group l1 cylinder.
 
     Convergence is declared when no set projection moves the iterate within
@@ -257,7 +258,7 @@ def _dykstra_columns(p, v, max_iter, tol):
     x = v.copy()
     corrections = [np.zeros_like(v) for _ in range(1 + len(groups))]
     sweeps = 0
-    for sweeps in range(1, max_iter + 1):
+    for sweeps in range(1, DYKSTRA_MAX_SWEEPS + 1):
         move = 0.0
         w = x + corrections[0]
         y = project_box(w, p.domains)
@@ -271,12 +272,12 @@ def _dykstra_columns(p, v, max_iter, tol):
             corrections[i] = w - y
             move = max(move, float(np.abs(y - x).max()))
             x = y
-        if move < tol:
+        if move < DYKSTRA_TOL:
             break
     return x, sweeps
 
 
-def project(p, v, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+def project(p, v):
     """Euclidean projection of a single point onto the polytope.
 
     Returns a :class:`ProjectionReport`; non-convergence of the Dykstra loop
@@ -286,15 +287,15 @@ def project(p, v, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
     v = _check_point(p, v)
     if v.ndim != 1:
         raise ValueError("project expects a single point; use project_columns")
-    out, sweeps = _project_matrix(p, v[:, None], max_iter, tol)
+    out, sweeps = _project_matrix(p, v[:, None])
     out = out[:, 0]
     return ProjectionReport(out, sweeps, max_violation(p, out))
 
 
-def project_columns(p, s, max_iter=DEFAULT_MAX_ITER, tol=DEFAULT_TOL):
+def project_columns(p, s):
     """Project every column of ``s`` onto the polytope independently."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != p.dim:
         raise ValueError(f"expected shape ({p.dim}, N), got {s.shape}")
-    out, _ = _project_matrix(p, s, max_iter, tol)
+    out, _ = _project_matrix(p, s)
     return out

@@ -62,9 +62,9 @@ class SolverConfig:
     mu0: float = 200.0
     iterations: int = 10000
     schedule: str = "inverse_sqrt"
-    seed: int = 0
     record_every: int = 100
     init: str = "projected_random_map"
+    seed: int = 0
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -97,7 +97,6 @@ class SolverState:
     objective: float
     estimate: np.ndarray
     trajectory: list = field(default_factory=list)
-    init_strategy: str = "projected_random_map"
 
 
 class DivergenceError(RuntimeError):
@@ -220,29 +219,6 @@ def _random_orthonormal(r, rng):
 # iteration
 
 
-def _advance(state, p, cfg, ctx, stats):
-    """One update from ``stats`` of the current iterate; returns new (state, stats)."""
-    mu = step_size(cfg, state.k)
-    s_new = project_columns(p, state.s + mu * stats.gradient(ctx))
-    new_stats = _Stats(s_new, ctx)
-    k_new = state.k + 1
-    beta = (AVERAGING_POWER + 1.0) / (k_new + AVERAGING_POWER)
-    estimate = (1.0 - beta) * state.estimate + beta * s_new
-    new_state = SolverState(
-        s=s_new,
-        k=k_new,
-        objective=new_stats.objective,
-        estimate=estimate,
-        trajectory=state.trajectory,
-        init_strategy=state.init_strategy,
-    )
-    if not math.isfinite(new_state.objective):
-        raise DivergenceError(
-            f"objective became non-finite at iteration {k_new}", new_state
-        )
-    return new_state, new_stats
-
-
 def canonical_orientation(s, y, p):
     """Resolve the box-reflection ambiguity of nonnegative coordinates.
 
@@ -312,19 +288,19 @@ def run(y, p, cfg, ground_truth=None):
     untouched. Deterministic given the config seed.
     """
     ctx = _RunContext(y, cfg.epsilon)
-    s0, strategy = initialize(y, p, cfg)
+    s0, _ = initialize(y, p, cfg)
     stats = _Stats(s0, ctx)
-    state = SolverState(
-        s=s0,
-        k=0,
-        objective=stats.objective,
-        estimate=s0.copy(),
-        init_strategy=strategy,
-    )
+    state = SolverState(s=s0, k=0, objective=stats.objective, estimate=s0.copy())
     _record(state, ground_truth, y, p)
-    for _ in range(cfg.iterations):
-        state, stats = _advance(state, p, cfg, ctx, stats)
-        if state.k % cfg.record_every == 0 or state.k == cfg.iterations:
+    for k in range(1, cfg.iterations + 1):
+        state.s = project_columns(p, state.s + step_size(cfg, k - 1) * stats.gradient(ctx))
+        stats = _Stats(state.s, ctx)
+        state.k, state.objective = k, stats.objective
+        beta = (AVERAGING_POWER + 1.0) / (k + AVERAGING_POWER)
+        state.estimate = (1.0 - beta) * state.estimate + beta * state.s
+        if not math.isfinite(state.objective):
+            raise DivergenceError(f"objective became non-finite at iteration {k}", state)
+        if k % cfg.record_every == 0 or k == cfg.iterations:
             _record(state, ground_truth, y, p)
     state.estimate = canonical_orientation(state.estimate, y, p)
     return state
@@ -333,8 +309,9 @@ def run(y, p, cfg, ground_truth=None):
 def run_best_of(y, p, cfg, starts, ground_truth=None):
     """Run several seeded starts and keep the highest final objective.
 
-    Start ``i`` uses seed ``cfg.seed + 1000003 * i``. Selection uses the
-    objective of the averaged estimate, which needs no ground truth.
+    Start ``i`` uses seed ``cfg.seed + 1000003 * i``, so one start is
+    :func:`run`. Selection uses the objective of the averaged estimate, which
+    needs no ground truth.
     """
     if starts < 1:
         raise ValueError("need at least one start")
@@ -343,6 +320,6 @@ def run_best_of(y, p, cfg, starts, ground_truth=None):
     for i in range(starts):
         state = run(y, p, replace(cfg, seed=cfg.seed + 1000003 * i), ground_truth)
         obj = _Stats(state.estimate, ctx).objective
-        if obj > best_obj:
+        if best_state is None or obj > best_obj:
             best_state, best_obj = state, obj
     return best_state

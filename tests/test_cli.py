@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from ldinfomax import ica, solver
+from ldinfomax import cli, ica, solver
 from ldinfomax.cli import main
 from ldinfomax.config import (
     ExperimentConfig,
@@ -15,8 +17,42 @@ from ldinfomax.config import (
     write_kv,
 )
 from ldinfomax.datagen import ScenarioConfig
+from ldinfomax.ica import IcaConfig
 from ldinfomax.polytopes import PolytopeSpec, preset
 from ldinfomax.solver import SolverConfig
+
+
+SIDECAR_TEXT = """\
+scenario.r = 3
+scenario.m = 4
+scenario.n = 200
+scenario.rho = 0.25
+scenario.dof = 4
+scenario.snr_db = none
+scenario.polytope = custom
+scenario.polytope.domains = signed, signed, nonneg
+scenario.polytope.groups = 0 1; 1 2
+scenario.source_mode = copula_t
+scenario.l1_mode = reject
+scenario.seed = 7
+solver.epsilon = 1e-05
+solver.mu0 = 20
+solver.iterations = 80
+solver.schedule = inverse_sqrt
+solver.record_every = 40
+solver.init = projected_random_map
+solver.seed = 7
+ica.learning_rate = 0.1
+ica.max_iter = 500
+ica.tol = 1e-07
+ica.n_subgauss = 2
+ica.seed = 7
+experiment.algo = both
+experiment.trials = 3
+experiment.rho_grid = 0, 0.125
+experiment.starts = 2
+experiment.output_dir = res
+"""
 
 
 def small_experiment(seed=0, **kw):
@@ -68,6 +104,21 @@ class TestConfigRoundtrip:
         assert fields == {"scenario.polytope": "l1"}
         assert polytope_from_fields(fields, 4) == p
 
+    def test_sidecar_text_pins_key_order(self, tmp_path):
+        cfg = ExperimentConfig(
+            scenario=ScenarioConfig(
+                r=3, m=4, n=200, rho=0.25, snr_db=None, seed=7,
+                polytope=PolytopeSpec(3, ("signed", "signed", "nonneg"), ((0, 1), (1, 2))),
+            ),
+            solver=SolverConfig(iterations=80, record_every=40, mu0=20.0, seed=7),
+            ica=IcaConfig(n_subgauss=2, seed=7),
+            algo="both", trials=3, rho_grid=(0.0, 0.125), starts=2, output_dir="res",
+        )
+        path = tmp_path / "exp.cfg"
+        save_experiment(cfg, path)
+        assert path.read_text() == SIDECAR_TEXT
+        assert load_experiment(path) == cfg
+
     def test_defaults_from_empty_mapping(self):
         cfg = experiment_from_mapping({})
         assert cfg == ExperimentConfig()
@@ -81,6 +132,15 @@ class TestConfigRoundtrip:
         path.write_text("solver.iteration = 5\n")
         with pytest.raises(ValueError, match="solver.iteration"):
             load_experiment(path)
+
+    def test_out_of_range_rho_rejected(self):
+        # r=5 needs rho in (-0.25, 1); a bad value fails before any trial runs
+        with pytest.raises(ValueError, match="need rho in"):
+            ScenarioConfig(r=5, rho=-0.5)
+        with pytest.raises(ValueError, match="rho=-0.5"):
+            ExperimentConfig(rho_grid=(0.0, -0.5, 0.3))
+        with pytest.raises(ValueError, match="rho=1.0"):
+            experiment_from_mapping({"experiment.rho_grid": "0, 1"})
 
 
 class TestGen:
@@ -153,7 +213,7 @@ class TestRun:
 
 
 def _failing(*args, **kwargs):
-    raise RuntimeError("injected failure")
+    raise RuntimeError("injected failure, with a comma")
 
 
 class TestFailedTrials:
@@ -162,9 +222,14 @@ class TestFailedTrials:
         save_experiment(small_experiment(seed=4), cfg_path)
         monkeypatch.setattr(solver, "run", _failing)
         out = tmp_path / "out"
+        out.mkdir()
+        (out / "convergence.csv").write_text("stale table from an earlier run\n")
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        rows = (out / "trials.csv").read_text().strip().splitlines()[1:]
-        assert len(rows) == 2 and all("failed: injected failure" in r for r in rows)
+        with open(out / "trials.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 2
+        assert all(r[2] == "failed: injected failure, with a comma" for r in rows)
+        assert all(len(r) == 5 for r in rows)
         assert not (out / "convergence.csv").exists()
         assert "no trial succeeded" in capsys.readouterr().err
 
@@ -179,6 +244,32 @@ class TestFailedTrials:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("0,ld_infomax")
         assert "no trial succeeded for rho=0 ica" in capsys.readouterr().err
+
+    def test_sweep_records_a_scenario_failure_per_trial(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        save_experiment(
+            small_experiment(seed=8, algo="both", rho_grid=(0.0, 0.3), trials=2), cfg_path
+        )
+        real = cli.make_scenario
+
+        def fail_trial_1(scenario_cfg):
+            if scenario_cfg.seed == 9:
+                raise RuntimeError("injected scenario failure")
+            return real(scenario_cfg)
+
+        monkeypatch.setattr(cli, "make_scenario", fail_trial_1)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        for rho in ("0", "0.3"):
+            for algo in ("ld_infomax", "ica"):
+                assert f"rho={rho} {algo} trial 1 failed: injected scenario failure" in err
+        assert "trial 0 failed" not in err
+        rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [
+            ["0", "ld_infomax"], ["0", "ica"], ["0.3", "ld_infomax"], ["0.3", "ica"],
+        ]
+        assert (out / "sweep.cfg").exists()
 
 
 class TestSweep:
