@@ -153,7 +153,8 @@ def aggregate(trial_curves):
     Returns
     -------
     (grid, mean, std) : three 1-D ndarrays
-        Population (1/n) standard deviation.
+        Population (1/n) standard deviation; where a trial scored ``inf``
+        (exact recovery) it is 0 if every trial agrees, else ``inf``.
     """
     if not trial_curves:
         raise ValueError("no trial curves to aggregate")
@@ -163,4 +164,8 @@ def aggregate(trial_curves):
             raise ValueError("trial curves have mismatched iteration grids")
     grid = grids[0]
     values = np.array([[p[1] for p in c] for c in trial_curves], dtype=float)
-    return grid, values.mean(axis=0), values.std(axis=0)
+    std = np.empty(len(grid))
+    inf = np.isinf(values).any(axis=0)
+    std[~inf] = values[:, ~inf].std(axis=0)
+    std[inf] = np.where(np.all(values[:, inf] == values[0, inf], axis=0), 0.0, np.inf)
+    return grid, values.mean(axis=0), std

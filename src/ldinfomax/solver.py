@@ -16,19 +16,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import evaluation
 from .ica import whiten
 from .polytopes import NONNEG, contains, project_columns
-from .stats import (
-    _center,
-    _cholesky,
-    _covariance,
-    _cross,
-    _error_covariance,
-    _half_logdet,
-)
+from .stats import _center, _cross, _RunContext, _Stats
 
 __all__ = [
     "DivergenceError",
@@ -113,57 +105,21 @@ def step_size(cfg, k):
 
 
 # ---------------------------------------------------------------------------
-# per-run cached quantities and the gradient
-
-
-class _RunContext:
-    """Mixture-side quantities that stay constant across iterations."""
-
-    def __init__(self, y, epsilon):
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 2 or y.shape[1] < 2:
-            raise ValueError("mixtures must be an (M, N) matrix with N >= 2")
-        self.n = y.shape[1]
-        self.epsilon = float(epsilon)
-        self.yc = _center(y)
-        self.cho_y = _cholesky(_covariance(self.yc), self.epsilon, "R_y")
-        # (R_y + eps I)^{-1} Yc, reused by every gradient evaluation
-        self.g_yc = cho_solve(self.cho_y, self.yc)
-
-
-class _Stats:
-    """Source-side factorizations shared by the objective and the gradient.
-
-    ``objective`` is :func:`ldinfomax.stats.ld_mutual_information` of the
-    iterate, computed by the same kernel without input validation.
-    """
-
-    def __init__(self, s, ctx):
-        self.sc = _center(s)
-        r_s = _covariance(self.sc)
-        self.r_sy = _cross(self.sc, ctx.yc)
-        r_e = _error_covariance(r_s, self.r_sy, ctx.cho_y)
-        self.cho_s = _cholesky(r_s, ctx.epsilon, "R_s")
-        self.cho_e = _cholesky(r_e, ctx.epsilon, "R_e")
-        self.objective = _half_logdet(self.cho_s) - _half_logdet(self.cho_e)
-
-    def gradient(self, ctx):
-        resid = self.sc - self.r_sy @ ctx.g_yc
-        return (cho_solve(self.cho_s, self.sc) - cho_solve(self.cho_e, resid)) / ctx.n
+# the gradient
 
 
 def gradient(s, y, epsilon):
     """Gradient of the LD-mutual information with respect to the sources.
 
     ``(1/N)(R_s+eps I)^{-1} S C - (1/N)(R_e+eps I)^{-1}(S - R_sy (R_y+eps I)^{-1} Y) C``
-    with ``C`` the centering matrix, applied by subtracting row means rather
-    than being materialized.
+    with ``C`` the centering matrix, computed by linearity as one r x (r+M) map
+    ``[A - B | B R_sy (R_y+eps I)^{-1}] / N`` of ``[S C ; Y C]`` (A, B the two inverses).
     """
     s = np.asarray(s, dtype=float)
-    ctx = _RunContext(y, epsilon)
+    ctx = _RunContext(y, epsilon, s.shape[0])
     if s.shape[1] != ctx.n:
         raise ValueError("sources and mixtures must share the sample count")
-    return _Stats(s, ctx).gradient(ctx)
+    return _Stats(s, ctx).gradient(ctx, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +129,7 @@ def gradient(s, y, epsilon):
 def initialize(y, p, cfg):
     """Build a feasible starting point from the mixtures.
 
-    Returns ``(s0, strategy_used)``. The default "projected_random_map"
+    Returns the feasible ``(p.dim, N)`` start. The default "projected_random_map"
     whitens the mixtures to ``p.dim`` principal components, applies a random
     orthonormal map, rescales by the largest column norm, shifts nonnegative
     coordinates by +0.5, and projects every column into the polytope. When
@@ -203,11 +159,11 @@ def initialize(y, p, cfg):
             x = _random_orthonormal(p.dim, rng) @ z
             x = x / max(np.linalg.norm(x, axis=0).max(), np.finfo(float).tiny)
             shift = np.array([0.5 if t == NONNEG else 0.0 for t in p.domains])
-            return project_columns(p, x + shift[:, None]), cfg.init
+            return project_columns(p, x + shift[:, None])
 
     lo = p.lower[:, None]
     s0 = lo + (p.upper[:, None] - lo) * rng.random((p.dim, y.shape[1]))
-    return project_columns(p, s0), "random"
+    return project_columns(p, s0)
 
 
 def _random_orthonormal(r, rng):
@@ -267,14 +223,14 @@ def canonical_orientation(s, y, p):
     return out
 
 
-def _record(state, ground_truth, y=None, p=None):
-    sinr = None
+def _record(state, ground_truth, y, p):
+    """Append a trajectory point; with ground truth, return the canonical estimate it scored."""
+    estimate = sinr = None
     if ground_truth is not None:
-        estimate = state.estimate
-        if y is not None and p is not None:
-            estimate = canonical_orientation(estimate, y, p)
+        estimate = canonical_orientation(state.estimate, y, p)
         sinr = evaluation.sinr_db(estimate, ground_truth)
     state.trajectory.append(TrajectoryPoint(state.k, state.objective, sinr))
+    return estimate
 
 
 def run(y, p, cfg, ground_truth=None):
@@ -282,18 +238,18 @@ def run(y, p, cfg, ground_truth=None):
 
     The trajectory records the raw-iterate objective (and, when
     ``ground_truth`` is given, the SINR of the averaged estimate) at
-    iteration 0, every ``cfg.record_every`` iterations, and at the end. The
-    returned estimate is reflection-canonicalized against the mixture mean
-    (see :func:`canonical_orientation`); the raw iterate ``state.s`` is left
-    untouched. Deterministic given the config seed.
+    iteration 0, every ``cfg.record_every`` iterations, and at the end, where
+    it scores the returned estimate. That estimate is reflection-canonicalized
+    against the mixture mean (see :func:`canonical_orientation`); the raw
+    iterate ``state.s`` is left untouched. Deterministic given the config seed.
     """
-    ctx = _RunContext(y, cfg.epsilon)
-    s0, _ = initialize(y, p, cfg)
+    ctx = _RunContext(y, cfg.epsilon, p.dim)
+    s0 = initialize(y, p, cfg)
     stats = _Stats(s0, ctx)
     state = SolverState(s=s0, k=0, objective=stats.objective, estimate=s0.copy())
-    _record(state, ground_truth, y, p)
+    final = _record(state, ground_truth, y, p)
     for k in range(1, cfg.iterations + 1):
-        state.s = project_columns(p, state.s + step_size(cfg, k - 1) * stats.gradient(ctx))
+        state.s = project_columns(p, state.s + stats.gradient(ctx, step_size(cfg, k - 1)))
         stats = _Stats(state.s, ctx)
         state.k, state.objective = k, stats.objective
         beta = (AVERAGING_POWER + 1.0) / (k + AVERAGING_POWER)
@@ -301,8 +257,9 @@ def run(y, p, cfg, ground_truth=None):
         if not math.isfinite(state.objective):
             raise DivergenceError(f"objective became non-finite at iteration {k}", state)
         if k % cfg.record_every == 0 or k == cfg.iterations:
-            _record(state, ground_truth, y, p)
-    state.estimate = canonical_orientation(state.estimate, y, p)
+            final = _record(state, ground_truth, y, p)
+    # the last point is recorded at the final estimate: reuse its canonical form
+    state.estimate = canonical_orientation(state.estimate, y, p) if final is None else final
     return state
 
 
@@ -315,11 +272,9 @@ def run_best_of(y, p, cfg, starts, ground_truth=None):
     """
     if starts < 1:
         raise ValueError("need at least one start")
-    best_state, best_obj = None, -math.inf
-    ctx = _RunContext(y, cfg.epsilon)
-    for i in range(starts):
-        state = run(y, p, replace(cfg, seed=cfg.seed + 1000003 * i), ground_truth)
-        obj = _Stats(state.estimate, ctx).objective
-        if best_state is None or obj > best_obj:
-            best_state, best_obj = state, obj
-    return best_state
+    if starts == 1:
+        return run(y, p, cfg, ground_truth)
+    ctx = _RunContext(y, cfg.epsilon, p.dim)
+    states = [run(y, p, replace(cfg, seed=cfg.seed + 1000003 * i), ground_truth)
+              for i in range(starts)]
+    return max(states, key=lambda state: _Stats(state.estimate, ctx).objective)

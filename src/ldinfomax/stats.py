@@ -7,15 +7,15 @@ the error covariance of the best regularized linear predictor, and the
 LD-mutual information between two sample sets.
 
 The public functions validate their inputs and then call a small private
-kernel (centering, covariance, shifted Cholesky, half-logdet, conditional
-error covariance). The solver calls that kernel directly, without the
-validation, so its objective is :func:`ld_mutual_information` bit for bit.
+kernel, built around one stacked buffer of centered sources and whitened
+mixtures. The solver calls that kernel directly, without the validation,
+so its objective is :func:`ld_mutual_information` bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "CovarianceBundle",
@@ -83,31 +83,77 @@ def _covariance(xc):
     return _symmetrize(_cross(xc, xc))
 
 
-def _cholesky(a, epsilon, name):
-    """Lower Cholesky factor (scipy ``cho_factor`` pair) of symmetric ``a + epsilon*I``.
+def _cholesky(a, epsilon, names):
+    """Lower Cholesky factor of symmetric ``a + epsilon*I``, or of each of a stack.
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If the shifted matrix is not positive definite. A non-PD shifted
-        matrix signals an invalid numerical state rather than a -inf value.
+        Naming the first shifted matrix (of ``names``) that is not positive
+        definite, an invalid numerical state rather than a -inf value.
     """
     try:
-        return cho_factor(a + epsilon * np.eye(a.shape[0]), lower=True)
-    except LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"{name} + {epsilon}*I is not positive definite: {exc}"
-        ) from exc
+        return np.linalg.cholesky(a + epsilon * np.eye(a.shape[-1]))
+    except np.linalg.LinAlgError as exc:
+        if a.ndim == 3:  # the stack fails as a whole; name its first failing matrix
+            for one, name in zip(a, names):
+                _cholesky(one, epsilon, name)
+        msg = f"{names} + {epsilon}*I is not positive definite: {exc}"
+        raise np.linalg.LinAlgError(msg) from exc
 
 
-def _half_logdet(cho):
-    """``0.5 * log det`` of the matrix whose Cholesky pair is ``cho``."""
-    return float(np.sum(np.log(np.diag(cho[0]))))
+def _half_logdet(chol):
+    """``0.5 * log det`` of each matrix whose lower Cholesky factor is in ``chol``."""
+    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def _error_covariance(r_s, r_sy, cho_y):
-    """``r_s - r_sy (r_y + eps*I)^{-1} r_syᵀ``, symmetrized, from the factor of ``r_y``."""
-    return _symmetrize(r_s - r_sy @ cho_solve(cho_y, r_sy.T))
+def _error_covariance(r_s, r_sw):
+    """``R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ``, symmetrized, from ``r_sw = R_sy L⁻ᵀ``."""
+    return _symmetrize(r_s - r_sw @ r_sw.T)
+
+
+class _RunContext:
+    """Mixture-side quantities of the LD statistics: the stacked buffer ``z = [S_c ; W]``.
+
+    ``W = L⁻¹Y_c`` whitens the centered mixtures by the lower Cholesky factor ``L``
+    of ``R_y + eps*I``, so that ``R_sy (R_y + eps*I)^{-1} Y_c = (S_c Wᵀ/N) W``.
+    """
+
+    def __init__(self, y, epsilon, r):
+        y = np.asarray(y, dtype=float)
+        if y.ndim != 2 or y.shape[1] < 2:
+            raise ValueError("mixtures must be an (M, N) matrix with N >= 2")
+        self.n, self.epsilon = y.shape[1], float(epsilon)
+        yc = _center(y)
+        self.z = np.empty((r + yc.shape[0], self.n))
+        self.z[r:] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
+
+
+class _Stats:
+    """LD-mutual information ``objective`` of sources ``s`` and the mixtures of ``ctx``.
+
+    Centers ``s`` into ``ctx.z[:r]``, so one product gives ``[R_s | R_sy L⁻ᵀ]``
+    and one batched Cholesky the factors of the shifted ``R_s`` and ``R_e``.
+    The gradient reads ``ctx.z``: it holds until the next ``_Stats`` on ``ctx``.
+    """
+
+    def __init__(self, s, ctx):
+        r, z = s.shape[0], ctx.z
+        np.subtract(s, s.mean(axis=1, keepdims=True), out=z[:r])
+        r_s_sw = z[:r] @ z.T / ctx.n
+        r_s, self.r_sw = _symmetrize(r_s_sw[:, :r]), r_s_sw[:, r:]
+        pair = np.stack((r_s, _error_covariance(r_s, self.r_sw)))
+        self.chol = _cholesky(pair, ctx.epsilon, ("R_s", "R_e"))
+        self.objective = float(np.subtract(*_half_logdet(self.chol)))
+
+    def gradient(self, ctx, scale):
+        """``scale`` times the gradient, the r x (r+M) map ``C`` applied to ``ctx.z``.
+
+        ``C = [A - B | B R_sy L⁻ᵀ] / N``, ``A = (R_s+eps I)^{-1}``, ``B = (R_e+eps I)^{-1}``.
+        """
+        inv = np.linalg.inv(self.chol)
+        a, b = np.swapaxes(inv, 1, 2) @ inv
+        return (scale / ctx.n * np.hstack((a - b, b @ self.r_sw))) @ ctx.z
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +206,7 @@ def logdet_regularized(cov, epsilon):
     """
     cov = _check_symmetric(cov, "cov")
     _check_epsilon(epsilon)
-    return 2.0 * _half_logdet(_cholesky(_symmetrize(cov), epsilon, "cov"))
+    return 2.0 * float(_half_logdet(_cholesky(_symmetrize(cov), epsilon, "cov")))
 
 
 def ld_entropy(cov, epsilon):
@@ -220,8 +266,8 @@ def conditional_error_covariance(bundle):
     covariance left in the first block after linearly estimating it from the
     second. The result plus ``eps*I`` is positive definite for any PSD bundle.
     """
-    cho_y = _cholesky(_symmetrize(bundle.r_y), bundle.epsilon, "r_y")
-    return _error_covariance(bundle.r_s, bundle.r_sy, cho_y)
+    chol_y = _cholesky(_symmetrize(bundle.r_y), bundle.epsilon, "r_y")
+    return _error_covariance(bundle.r_s, solve_triangular(chol_y, bundle.r_sy.T, lower=True).T)
 
 
 def ld_mutual_information(s, y, epsilon):
@@ -240,9 +286,4 @@ def ld_mutual_information(s, y, epsilon):
     """
     s, y = _as_pair(s, y)
     _check_epsilon(epsilon)
-    sc, yc = _center(s), _center(y)
-    r_s = _covariance(sc)
-    cho_y = _cholesky(_covariance(yc), epsilon, "R_y")
-    r_e = _error_covariance(r_s, _cross(sc, yc), cho_y)
-    half_s = _half_logdet(_cholesky(r_s, epsilon, "R_s"))
-    return half_s - _half_logdet(_cholesky(r_e, epsilon, "R_e"))
+    return _Stats(s, _RunContext(y, epsilon, s.shape[0])).objective

@@ -10,6 +10,7 @@ alignments through exhaustive search.
 import itertools
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from ldinfomax import ld_mutual_information
 from ldinfomax.polytopes import SIGNED
@@ -165,3 +166,22 @@ def exhaustive_alignment_mse(s_est, s_true):
                 total += cost_plus[i, perm[i]] if signs[i] == 1 else cost_minus[i, perm[i]]
             best = min(best, total)
     return best
+
+
+def two_solve_gradient(s, y, epsilon):
+    """LD-mutual-information gradient applied as in PAPER.md's formula.
+
+    ``((R_s+eps I)^{-1} S_c - (R_e+eps I)^{-1}(S_c - R_sy (R_y+eps I)^{-1} Y_c)) / N``,
+    with both inverses applied by Cholesky solves against the r x N centered
+    samples and the error covariance formed by a solve against ``R_syᵀ``.
+    """
+    s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
+    n = s.shape[1]
+    sc = s - s.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    r_s, r_sy = sc @ sc.T / n, sc @ yc.T / n
+    cho_y = cho_factor(yc @ yc.T / n + epsilon * np.eye(y.shape[0]))
+    r_e = r_s - r_sy @ cho_solve(cho_y, r_sy.T)
+    resid = sc - r_sy @ cho_solve(cho_y, yc)
+    eye = epsilon * np.eye(s.shape[0])
+    return (cho_solve(cho_factor(r_s + eye), sc) - cho_solve(cho_factor(r_e + eye), resid)) / n

@@ -161,6 +161,7 @@ def test_criterion_4_alignment_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_noiseless_separation():
     """Noiseless antisparse mixtures separate to >= 25 dB in >= 8/10 trials."""
     t0 = time.time()
@@ -186,6 +187,7 @@ def test_criterion_5_noiseless_separation():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_convergence_curve_analog():
     """Noisy correlated scenario converges to >= 15 dB mean with a smooth tail.
 
@@ -244,6 +246,7 @@ def _sweep_config(out_dir, trials=10, iterations=20000):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_correlation_sweep(tmp_path):
     """Correlation sweep reproduces the dependent-source comparison trends."""
     t0 = time.time()

@@ -150,6 +150,15 @@ class TestAggregate:
         assert mean[0] == pytest.approx(15.0)
         assert std[0] == pytest.approx(5.0)
 
+    def test_exact_recovery_is_not_nan(self):
+        # exact recovery scores inf; trials that agree have std 0, and inf
+        # beside a finite value has std inf
+        inf = float("inf")
+        curves = [[(0, 10.0), (5, inf), (9, inf)], [(0, 12.0), (5, 20.0), (9, inf)]]
+        _, mean, std = aggregate(curves)
+        assert mean.tolist() == [11.0, inf, inf]
+        assert std.tolist() == [1.0, inf, 0.0]
+
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(12)
         values = rng.normal(12.0, 3.0, size=(100, 4))

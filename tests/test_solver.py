@@ -16,8 +16,14 @@ from ldinfomax.solver import (
     run_best_of,
     step_size,
 )
-from ldinfomax.stats import ld_mutual_information
-from oracles import finite_difference_gradient
+from ldinfomax.stats import (
+    CovarianceBundle,
+    conditional_error_covariance,
+    cross_covariance,
+    ld_mutual_information,
+    sample_covariance,
+)
+from oracles import finite_difference_gradient, two_solve_gradient
 
 
 def small_scenario(seed=0, n=300, noiseless=True):
@@ -64,6 +70,46 @@ class TestGradient:
         y = np.random.default_rng(2).standard_normal((3, 20))
         assert np.all(np.isfinite(gradient(s, y, 1e-5)))
 
+    def test_matches_two_solve_formula(self):
+        # the r x (r+M) map equals PAPER.md's two solves against r x N samples;
+        # on the noiseless truth R_e sits below the eps floor
+        eps = 1e-5
+        for snr_db, truth in ((30.0, False), (None, True)):
+            cfg = ScenarioConfig(
+                r=5, m=8, n=2000, rho=0.5, snr_db=snr_db,
+                polytope=preset("linf_nonneg", 5), seed=20,
+            )
+            scenario = make_scenario(cfg)
+            if truth:
+                s = scenario.s_true
+                r_e = conditional_error_covariance(CovarianceBundle(
+                    sample_covariance(s), sample_covariance(scenario.y),
+                    cross_covariance(s, scenario.y), eps,
+                ))
+                assert np.linalg.eigvalsh(r_e).min() < eps
+            else:
+                s = initialize(scenario.y, cfg.polytope, SolverConfig(seed=20))
+            g = gradient(s, scenario.y, eps)
+            ref = two_solve_gradient(s, scenario.y, eps)
+            assert np.linalg.norm(g - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_rows_sum_to_zero(self):
+        # the map acts on centered samples, so each row of its output is centered
+        rng = np.random.default_rng(15)
+        g = gradient(rng.uniform(size=(5, 300)), rng.standard_normal((8, 300)), 1e-5)
+        assert np.abs(g.sum(axis=1)).max() <= 1e-12 * np.abs(g).sum(axis=1).max()
+
+    def test_not_positive_definite_names_the_matrix(self):
+        # a negative shift leaves R_y - I positive definite for these large
+        # mixtures but not R_s - I (small sources) or R_e - I (sources that
+        # the mixtures predict exactly)
+        rng = np.random.default_rng(16)
+        y = 10.0 * rng.standard_normal((4, 200))
+        with pytest.raises(np.linalg.LinAlgError, match=r"^R_s \+ -1.0\*I"):
+            gradient(0.1 * rng.standard_normal((2, 200)), y, -1.0)
+        with pytest.raises(np.linalg.LinAlgError, match=r"^R_e \+ -1.0\*I"):
+            gradient(y[:2], y, -1.0)
+
     def test_centering_kills_constant_shift(self):
         rng = np.random.default_rng(3)
         s = rng.standard_normal((3, 50))
@@ -76,22 +122,21 @@ class TestInitialize:
     def test_columns_feasible(self):
         scenario, p = small_scenario(seed=1)
         for strategy in ("projected_random_map", "random"):
-            s0, used = initialize(scenario.y, p, SolverConfig(init=strategy, seed=3))
-            assert used == strategy
+            s0 = initialize(scenario.y, p, SolverConfig(init=strategy, seed=3))
             assert contains(p, s0, tol=1e-9)
 
     def test_deterministic(self):
         scenario, p = small_scenario(seed=2)
         cfg = SolverConfig(seed=11)
-        a, _ = initialize(scenario.y, p, cfg)
-        b, _ = initialize(scenario.y, p, cfg)
+        a = initialize(scenario.y, p, cfg)
+        b = initialize(scenario.y, p, cfg)
         assert np.array_equal(a, b)
 
     def test_nonzero_cross_covariance(self):
         scenario, p = small_scenario(seed=3)
         yc = scenario.y - scenario.y.mean(axis=1, keepdims=True)
         for seed in range(20):
-            s0, _ = initialize(scenario.y, p, SolverConfig(seed=seed))
+            s0 = initialize(scenario.y, p, SolverConfig(seed=seed))
             sc = s0 - s0.mean(axis=1, keepdims=True)
             assert np.linalg.norm(sc @ yc.T / yc.shape[1]) > 0
 
@@ -99,9 +144,8 @@ class TestInitialize:
         rng = np.random.default_rng(4)
         y = np.outer(rng.standard_normal(5), rng.standard_normal(200))
         p = preset("linf", 3)
-        with pytest.warns(RuntimeWarning):
-            s0, used = initialize(y, p, SolverConfig(seed=5))
-        assert used == "random"
+        with pytest.warns(RuntimeWarning, match="falling back to random init"):
+            s0 = initialize(y, p, SolverConfig(seed=5))
         assert contains(p, s0, tol=1e-9)
 
     def test_more_sources_than_mixtures_rejected(self):
@@ -119,7 +163,7 @@ class TestSharedKernel:
             s = rng.uniform(size=(3, 60))
             y = rng.standard_normal((5, 60))
             for eps in (1e-5, 1e-2):
-                ctx = solver_mod._RunContext(y, eps)
+                ctx = solver_mod._RunContext(y, eps, s.shape[0])
                 assert ld_mutual_information(s, y, eps) == solver_mod._Stats(s, ctx).objective
 
 
@@ -146,7 +190,7 @@ class TestRun:
         scenario, p = small_scenario(seed=6)
         cfg = SolverConfig(iterations=0, seed=9)
         state = run(scenario.y, p, cfg)
-        s0, _ = initialize(scenario.y, p, cfg)
+        s0 = initialize(scenario.y, p, cfg)
         assert np.array_equal(state.s, s0)
         assert state.k == 0
 
@@ -181,14 +225,23 @@ class TestRun:
         assert np.array_equal(a.s, b.s)
         assert np.array_equal(a.estimate, b.estimate)
 
-    def test_trajectory_grid_and_sinr(self):
+    def test_trajectory_grid_and_sinr(self, monkeypatch):
         scenario, p = small_scenario(seed=8)
         cfg = SolverConfig(iterations=25, record_every=10, seed=1)
+        calls = []
+        real = solver_mod.canonical_orientation
+        monkeypatch.setattr(
+            solver_mod, "canonical_orientation", lambda *a: calls.append(1) or real(*a)
+        )
         state = run(scenario.y, p, cfg, ground_truth=scenario.s_true)
         assert [pt.iteration for pt in state.trajectory] == [0, 10, 20, 25]
         assert all(pt.sinr_db is not None for pt in state.trajectory)
+        # the last point scores the returned estimate, canonicalized once
+        assert state.trajectory[-1].sinr_db == sinr_db(state.estimate, scenario.s_true)
+        assert len(calls) == 4
         state2 = run(scenario.y, p, cfg)
         assert all(pt.sinr_db is None for pt in state2.trajectory)
+        assert len(calls) == 5
 
     def test_estimate_feasible_and_better_than_raw_tail(self):
         scenario, p = small_scenario(seed=9, n=1500)
@@ -221,13 +274,25 @@ class TestRunBestOf:
         scenario, p = small_scenario(seed=12, n=400)
         cfg = SolverConfig(iterations=60, seed=21)
         best = run_best_of(scenario.y, p, cfg, starts=3)
-        ctx = solver_mod._RunContext(scenario.y, cfg.epsilon)
+        ctx = solver_mod._RunContext(scenario.y, cfg.epsilon, p.dim)
         best_obj = solver_mod._Stats(best.estimate, ctx).objective
         for i in range(3):
             from dataclasses import replace
 
             state = run(scenario.y, p, replace(cfg, seed=cfg.seed + 1000003 * i))
             assert solver_mod._Stats(state.estimate, ctx).objective <= best_obj + 1e-12
+
+    def test_single_start_is_run(self, monkeypatch):
+        # nothing to choose between: no second context, the run's own state
+        scenario, p = small_scenario(seed=12, n=400)
+        cfg = SolverConfig(iterations=20, seed=21)
+        expected = run(scenario.y, p, cfg)
+        contexts = []
+        real = solver_mod._RunContext
+        monkeypatch.setattr(solver_mod, "_RunContext", lambda *a: contexts.append(1) or real(*a))
+        state = run_best_of(scenario.y, p, cfg, starts=1)
+        assert len(contexts) == 1
+        assert np.array_equal(state.estimate, expected.estimate)
 
 
 class TestTrajectoryCsv:
