@@ -15,7 +15,6 @@ from .datagen import (
     ScenarioConfig,
     add_noise,
     copula_t_uniforms,
-    load_scenario,
     make_scenario,
     mixing_matrix,
     save_scenario,
@@ -45,9 +44,7 @@ from .polytopes import (
     contains,
     preset,
     project,
-    project_box,
     project_columns,
-    project_l1_group,
 )
 from .solver import (
     DivergenceError,
@@ -57,7 +54,6 @@ from .solver import (
     gradient,
     initialize,
     run,
-    run_best_of,
 )
 from .stats import (
     CovarianceBundle,
@@ -99,17 +95,13 @@ __all__ = [
     "initialize",
     "ld_entropy",
     "ld_mutual_information",
-    "load_scenario",
     "make_scenario",
     "mixing_matrix",
     "mse",
     "preset",
     "project",
-    "project_box",
     "project_columns",
-    "project_l1_group",
     "run",
-    "run_best_of",
     "sample_covariance",
     "save_scenario",
     "sinr_db",

@@ -89,9 +89,9 @@ def _trial(cfg, trial, rho, algos):
     for algo in algos:
         try:
             if algo == "ld_infomax":
-                state = solver.run_best_of(
+                state = solver.run(
                     scenario.y, scenario_cfg.polytope, replace(cfg.solver, seed=seed),
-                    cfg.starts, ground_truth=scenario.s_true,
+                    ground_truth=scenario.s_true,
                 )
                 curve = [(pt.iteration, pt.sinr_db) for pt in state.trajectory]
                 results[algo] = (curve, curve[-1][1], state.objective)
@@ -182,10 +182,10 @@ def cmd_sweep(cfg, out_dir):
             if vals.size == 0:
                 missing.append(f"rho={format_float(rho)} {algo}")
                 continue
-            rows.append((float(rho), algo, float(vals.mean()), float(vals.std())))
+            mean, std = float(vals.mean()), float(evaluation._population_std(vals))
+            rows.append((float(rho), algo, mean, std))
             print(
-                f"rho={format_float(rho)} {algo}: "
-                f"mean SINR {vals.mean():.2f} dB (std {vals.std():.2f})",
+                f"rho={format_float(rho)} {algo}: mean SINR {mean:.2f} dB (std {std:.2f})",
                 flush=True,
             )
     write_csv(out / "sweep.csv", ("rho", "algo", "sinr_mean_db", "sinr_std_db"), rows)

@@ -47,7 +47,6 @@ class ExperimentConfig:
     algo: str = "ld_infomax"
     trials: int = 10
     rho_grid: tuple = (0.0, 0.2, 0.4, 0.6)
-    starts: int = 1
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class ExperimentConfig:
             raise ValueError(f"algo must be one of {ALGOS}, got {self.algo!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
         if not self.rho_grid:
             raise ValueError("rho_grid must not be empty")
         for rho in self.rho_grid:

@@ -15,14 +15,13 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .polytopes import NONNEG, PolytopeSpec, contains, preset
+from .polytopes import PolytopeSpec, contains, preset
 
 __all__ = [
     "Scenario",
     "ScenarioConfig",
     "add_noise",
     "copula_t_uniforms",
-    "load_scenario",
     "make_scenario",
     "mixing_matrix",
     "save_scenario",
@@ -194,10 +193,10 @@ def sources_in_polytope(u, p, mode="reject", draw=None):
 
 
 def _map_box(u, p):
-    s = u.copy()
-    for i, tag in enumerate(p.domains):
-        if tag != NONNEG:
-            s[i] = 2.0 * s[i] - 1.0
+    """``lower + (upper - lower) * u``, with the sum taken in place."""
+    lo = p.lower[:, None]
+    s = (p.upper[:, None] - lo) * u
+    s += lo
     return s
 
 
@@ -235,39 +234,17 @@ def add_noise(y_clean, snr_db, seed):
 
 
 def save_scenario(scenario, out_dir):
-    """Write a scenario as CSV matrices plus a small metadata sidecar.
+    """Write a scenario's matrices as ``sources.csv``, ``mixing.csv`` and
+    ``mixtures.csv``.
 
-    Files: ``sources.csv``, ``mixing.csv``, ``mixtures.csv``,
-    ``scenario_meta.cfg`` (dimensions and noise level). Matrices use 12
-    significant digits, so saving the same scenario twice is byte-identical.
+    Matrices use 12 significant digits, so saving the same scenario twice is
+    byte-identical.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "sources.csv", scenario.s_true, delimiter=",", fmt="%.12g")
     np.savetxt(out / "mixing.csv", scenario.h_mix, delimiter=",", fmt="%.12g")
     np.savetxt(out / "mixtures.csv", scenario.y, delimiter=",", fmt="%.12g")
-    meta = (
-        f"r = {scenario.s_true.shape[0]}\n"
-        f"m = {scenario.y.shape[0]}\n"
-        f"n = {scenario.s_true.shape[1]}\n"
-        f"noise_sigma = {scenario.noise_sigma:.12g}\n"
-    )
-    (out / "scenario_meta.cfg").write_text(meta, encoding="utf-8")
-
-
-def load_scenario(in_dir):
-    """Read back a scenario written by :func:`save_scenario`."""
-    src = Path(in_dir)
-    s_true = np.atleast_2d(np.loadtxt(src / "sources.csv", delimiter=","))
-    h_mix = np.atleast_2d(np.loadtxt(src / "mixing.csv", delimiter=","))
-    y = np.atleast_2d(np.loadtxt(src / "mixtures.csv", delimiter=","))
-    sigma = 0.0
-    meta = src / "scenario_meta.cfg"
-    if meta.exists():
-        for line in meta.read_text(encoding="utf-8").splitlines():
-            if line.startswith("noise_sigma"):
-                sigma = float(line.split("=", 1)[1])
-    return Scenario(s_true, h_mix, y, sigma)
 
 
 def make_scenario(cfg):

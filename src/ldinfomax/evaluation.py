@@ -162,10 +162,17 @@ def aggregate(trial_curves):
     for g in grids[1:]:
         if not np.array_equal(g, grids[0]):
             raise ValueError("trial curves have mismatched iteration grids")
-    grid = grids[0]
     values = np.array([[p[1] for p in c] for c in trial_curves], dtype=float)
-    std = np.empty(len(grid))
+    return grids[0], values.mean(axis=0), _population_std(values)
+
+
+def _population_std(values):
+    """Population (1/n) standard deviation over trials (axis 0) of SINRs.
+
+    Where a trial scored ``inf`` (exact recovery) the std is 0 if every trial
+    agrees, else ``inf``; never ``nan``.
+    """
     inf = np.isinf(values).any(axis=0)
-    std[~inf] = values[:, ~inf].std(axis=0)
-    std[inf] = np.where(np.all(values[:, inf] == values[0, inf], axis=0), 0.0, np.inf)
-    return grid, values.mean(axis=0), std
+    finite_std = np.where(inf, 0.0, values).std(axis=0)
+    inf_std = np.where(np.all(values == values[0], axis=0), 0.0, np.inf)
+    return np.where(inf, inf_std, finite_std)

@@ -6,9 +6,11 @@ constrained to unit l1 norm. This family covers the unit l1 ball, the unit
 box, their nonnegative restrictions, and mixed-sparsity constructions with
 overlapping groups.
 
-Projections use exact closed forms whenever the constraint structure allows
-(pure boxes, a single homogeneous l1 group) and Dykstra's alternating
-projection with correction terms otherwise, which converges to the exact
+The domain tags become bounds only through ``PolytopeSpec.lower`` and
+``upper``. When the groups are pairwise disjoint the projection is exact in
+closed form: a box clamp, then per group a capped-simplex projection of the
+magnitudes with the signs put back. Overlapping groups use Dykstra's
+alternating projection with correction terms, which converges to the exact
 Euclidean projection onto the intersection.
 """
 
@@ -24,9 +26,7 @@ __all__ = [
     "max_violation",
     "preset",
     "project",
-    "project_box",
     "project_columns",
-    "project_l1_group",
 ]
 
 SIGNED = "signed"
@@ -81,10 +81,13 @@ class PolytopeSpec:
 
     @property
     def lower(self):
+        """Per-coordinate lower bounds: -1 signed, 0 nonneg (with ``upper``,
+        the one place domain tags become bounds)."""
         return np.array([-1.0 if t == SIGNED else 0.0 for t in self.domains])
 
     @property
     def upper(self):
+        """Per-coordinate upper bounds, all 1."""
         return np.ones(self.dim)
 
 
@@ -145,108 +148,70 @@ def contains(p, s, tol=FEASIBILITY_TOL):
     return max_violation(p, s) <= tol
 
 
-def project_box(v, domains):
-    """Coordinate-wise clamp to [-1, 1] or [0, 1] per domain tag.
+def _clamp(p, v):
+    """Project every column of ``v`` onto the box [p.lower, p.upper]."""
+    return np.clip(v, p.lower[:, None], p.upper[:, None])
 
-    Works on a vector of shape (dim,) or column-stacked points (dim, N).
+
+def _capped_simplex(u):
+    """Project every column of ``u`` onto {x >= 0, sum(x) <= 1}, in place.
+
+    ``u`` must be nonnegative, so a column summing to at most 1 is already
+    feasible; any other lands on the simplex face as ``max(u - theta, 0)``.
+    Overwrites and returns ``u``, which saves a pass over the samples.
     """
-    v = np.asarray(v, dtype=float)
-    lo = np.array([-1.0 if t == SIGNED else 0.0 for t in domains])
-    hi = np.ones(len(domains))
-    if v.ndim == 2:
-        lo = lo[:, None]
-        hi = hi[:, None]
-    return np.clip(v, lo, hi)
-
-
-def project_l1_group(v, radius=1.0):
-    """Euclidean projection onto the l1 ball of the given radius.
-
-    Exact soft-threshold construction: sort |v|, find the largest prefix
-    whose thresholded sum reaches the radius, shrink toward zero by the
-    resulting threshold. Points already inside are returned unchanged.
-
-    Works on a vector (n,) or column-stacked points (n, N).
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        return _l1_ball_columns(v[:, None], radius)[:, 0]
-    return _l1_ball_columns(v, radius)
-
-
-def _l1_ball_columns(v, radius):
-    out = v.copy()
-    a = np.abs(v)
-    over = a.sum(axis=0) > radius
-    if not np.any(over):
-        return out
-    ao = a[:, over]
-    theta = _simplex_threshold(ao, radius)
-    out[:, over] = np.sign(v[:, over]) * np.maximum(ao - theta, 0.0)
-    return out
-
-
-def _simplex_threshold(a, radius):
-    """Per-column threshold theta with sum(max(a - theta, 0)) == radius."""
-    n = a.shape[0]
-    u = np.sort(a, axis=0)[::-1]
-    css = (np.cumsum(u, axis=0) - radius) / np.arange(1, n + 1)[:, None]
-    # rho = largest prefix length with u > css; css at that index is theta
-    rho = np.sum(u > css, axis=0) - 1
-    return css[rho, np.arange(a.shape[1])]
-
-
-def _nonneg_capped_columns(v, radius):
-    """Projection onto {x >= 0, sum(x) <= radius}, column-wise."""
-    out = np.maximum(v, 0.0)
-    over = out.sum(axis=0) > radius
+    over = u.sum(axis=0) > 1.0
     if np.any(over):
-        vo = v[:, over]
-        theta = _simplex_threshold(vo, radius)
-        out[:, over] = np.maximum(vo - theta, 0.0)
-    return out
+        uo = u[:, over]
+        u[:, over] = np.maximum(uo - _simplex_threshold(uo), 0.0)
+    return u
 
 
-def _exact_group_strategy(p):
-    """Return a homogeneous-domain tag for the single-group fast path.
+def _simplex_threshold(u):
+    """Per-column theta with sum(max(u - theta, 0)) == 1, by sorting
+    (Duchi et al. 2008)."""
+    desc = np.sort(u, axis=0)[::-1]
+    css = (np.cumsum(desc, axis=0) - 1.0) / np.arange(1, len(u) + 1)[:, None]
+    # rho = largest prefix length with desc > css; css at that index is theta
+    rho = np.sum(desc > css, axis=0) - 1
+    return css[rho, np.arange(u.shape[1])]
 
-    The closed form applies when there is at most one l1 group and all
-    domains inside it carry the same tag: the group coordinates reduce to a
-    plain l1 ball (signed) or a capped simplex (nonneg), both with the box
-    made redundant by the unit radius, while the remaining coordinates only
-    see their boxes.
+
+def _l1_ball(v, signed):
+    """Project every column of ``v`` onto {sum(|x|) <= 1, x[~signed] >= 0}.
+
+    A signed coordinate keeps its sign and shrinks in magnitude, so this is
+    the capped-simplex projection of ``|v|`` on signed rows and of
+    ``max(v, 0)`` on the others, with the signs put back. Inside a unit l1
+    ball the box constraints hold, so they need no separate step.
     """
-    if not p.l1_groups:
-        return "box"
-    if len(p.l1_groups) > 1:
-        return None
-    tags = {p.domains[i] for i in p.l1_groups[0]}
-    if len(tags) != 1:
-        return None
-    return tags.pop()
+    if not signed.any():
+        return _capped_simplex(np.maximum(v, 0.0))
+    if signed.all():
+        return np.copysign(_capped_simplex(np.abs(v)), v)
+    out = _capped_simplex(np.where(signed[:, None], np.abs(v), np.maximum(v, 0.0)))
+    out[signed] = np.copysign(out[signed], v[signed])
+    return out
 
 
 def _project_matrix(p, v):
-    """Shared column-parallel projection; v has shape (dim, N)."""
-    strategy = _exact_group_strategy(p)
-    if strategy == "box":
-        return project_box(v, p.domains), 0
-    if strategy in (SIGNED, NONNEG):
-        g = list(p.l1_groups[0])
-        out = project_box(v, p.domains)
-        sub = v[g]
-        if strategy == SIGNED:
-            out[g] = _l1_ball_columns(sub, 1.0)
-        else:
-            out[g] = _nonneg_capped_columns(sub, 1.0)
-        return out, 0
-    return _dykstra_columns(p, v)
+    """Shared column-parallel projection; v has shape (dim, N).
+
+    Pairwise-disjoint groups (none at all included) separate, so the box
+    clamp and one closed form per group are exact. Overlapping groups go
+    through Dykstra.
+    """
+    groups = [list(g) for g in p.l1_groups]
+    if len(set().union(*groups)) < sum(map(len, groups)):
+        return _dykstra_columns(p, v, groups)
+    out = _clamp(p, v)
+    for g in groups:
+        out[g] = _l1_ball(v[g], p.lower[g] < 0)
+    return out, 0
 
 
-def _dykstra_columns(p, v):
-    """Dykstra's algorithm over the box and each group l1 cylinder.
+def _dykstra_columns(p, v, groups):
+    """Dykstra's algorithm over the box and each group's l1 cylinder.
 
     Convergence is declared when no set projection moves the iterate within
     a full sweep; the per-sweep moves equal the correction increments, so a
@@ -254,21 +219,20 @@ def _dykstra_columns(p, v):
     (The iterate alone can sit still for a sweep while corrections evolve,
     so its successive change is not a safe stopping signal.)
     """
-    groups = [list(g) for g in p.l1_groups]
     x = v.copy()
     corrections = [np.zeros_like(v) for _ in range(1 + len(groups))]
     sweeps = 0
     for sweeps in range(1, DYKSTRA_MAX_SWEEPS + 1):
         move = 0.0
         w = x + corrections[0]
-        y = project_box(w, p.domains)
+        y = _clamp(p, w)
         corrections[0] = w - y
         move = max(move, float(np.abs(y - x).max()))
         x = y
         for i, g in enumerate(groups, start=1):
             w = x + corrections[i]
             y = w.copy()
-            y[g] = _l1_ball_columns(w[g], 1.0)
+            y[g] = np.copysign(_capped_simplex(np.abs(w[g])), w[g])
             corrections[i] = w - y
             move = max(move, float(np.abs(y - x).max()))
             x = y

@@ -13,7 +13,7 @@ the raw iterate and its objective remain available on the state.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "gradient",
     "initialize",
     "run",
-    "run_best_of",
     "step_size",
 ]
 
@@ -131,10 +130,11 @@ def initialize(y, p, cfg):
 
     Returns the feasible ``(p.dim, N)`` start. The default "projected_random_map"
     whitens the mixtures to ``p.dim`` principal components, applies a random
-    orthonormal map, rescales by the largest column norm, shifts nonnegative
-    coordinates by +0.5, and projects every column into the polytope. When
-    the mixtures have rank below ``p.dim`` it falls back to "random" (uniform
-    draws in the bounding box, projected) and emits a warning.
+    orthonormal map, rescales by the largest column norm, shifts every
+    coordinate to the center of its box, and projects every column into the
+    polytope. When the mixtures have rank below ``p.dim`` it falls back to
+    "random" (uniform draws in the bounding box, projected) and emits a
+    warning.
 
     Raises
     ------
@@ -158,7 +158,7 @@ def initialize(y, p, cfg):
         else:
             x = _random_orthonormal(p.dim, rng) @ z
             x = x / max(np.linalg.norm(x, axis=0).max(), np.finfo(float).tiny)
-            shift = np.array([0.5 if t == NONNEG else 0.0 for t in p.domains])
+            shift = (p.lower + p.upper) / 2
             return project_columns(p, x + shift[:, None])
 
     lo = p.lower[:, None]
@@ -261,20 +261,3 @@ def run(y, p, cfg, ground_truth=None):
     # the last point is recorded at the final estimate: reuse its canonical form
     state.estimate = canonical_orientation(state.estimate, y, p) if final is None else final
     return state
-
-
-def run_best_of(y, p, cfg, starts, ground_truth=None):
-    """Run several seeded starts and keep the highest final objective.
-
-    Start ``i`` uses seed ``cfg.seed + 1000003 * i``, so one start is
-    :func:`run`. Selection uses the objective of the averaged estimate, which
-    needs no ground truth.
-    """
-    if starts < 1:
-        raise ValueError("need at least one start")
-    if starts == 1:
-        return run(y, p, cfg, ground_truth)
-    ctx = _RunContext(y, cfg.epsilon, p.dim)
-    states = [run(y, p, replace(cfg, seed=cfg.seed + 1000003 * i), ground_truth)
-              for i in range(starts)]
-    return max(states, key=lambda state: _Stats(state.estimate, ctx).objective)

@@ -50,7 +50,6 @@ ica.seed = 7
 experiment.algo = both
 experiment.trials = 3
 experiment.rho_grid = 0, 0.125
-experiment.starts = 2
 experiment.output_dir = res
 """
 
@@ -80,7 +79,7 @@ class TestConfigRoundtrip:
             read_kv(path)
 
     def test_experiment_roundtrip(self, tmp_path):
-        cfg = small_experiment(seed=3, algo="ica", rho_grid=(0.0, 0.5), starts=2)
+        cfg = small_experiment(seed=3, algo="ica", rho_grid=(0.0, 0.5))
         path = tmp_path / "exp.cfg"
         save_experiment(cfg, path)
         assert load_experiment(path) == cfg
@@ -112,7 +111,7 @@ class TestConfigRoundtrip:
             ),
             solver=SolverConfig(iterations=80, record_every=40, mu0=20.0, seed=7),
             ica=IcaConfig(n_subgauss=2, seed=7),
-            algo="both", trials=3, rho_grid=(0.0, 0.125), starts=2, output_dir="res",
+            algo="both", trials=3, rho_grid=(0.0, 0.125), output_dir="res",
         )
         path = tmp_path / "exp.cfg"
         save_experiment(cfg, path)
@@ -124,8 +123,8 @@ class TestConfigRoundtrip:
         assert cfg == ExperimentConfig()
 
     def test_unknown_keys_rejected(self, tmp_path):
-        # a misspelt key, and a removed key that older sidecars still carry
-        for key in ("solver.iteration", "solver.averaging_power"):
+        # a misspelt key, and removed keys that older sidecars still carry
+        for key in ("solver.iteration", "solver.averaging_power", "experiment.starts"):
             with pytest.raises(ValueError, match=key):
                 experiment_from_mapping({key: "5"})
         path = tmp_path / "typo.cfg"
@@ -149,10 +148,11 @@ class TestGen:
         save_experiment(small_experiment(seed=1), cfg_path)
         out = tmp_path / "out"
         assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 0
-        for name in ("sources.csv", "mixing.csv", "mixtures.csv", "scenario.cfg"):
-            assert (out / name).exists()
+        written = ["sources.csv", "mixing.csv", "mixtures.csv", "scenario.cfg"]
+        assert sorted(f.name for f in out.iterdir()) == sorted(written)
         text = capsys.readouterr().out
         assert "feasible: True" in text
+        assert f"wrote {', '.join(written)} to {out}" in text
 
     def test_noiseless_flag_exact_product(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
@@ -285,6 +285,26 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("0,ld_infomax")
         assert lines[2].startswith("0,ica")
+
+    def test_inf_sinr_gives_inf_std(self, tmp_path, monkeypatch):
+        # trial 0 recovers exactly (SINR inf), trial 1 does not: std is inf, not nan
+        cfg_path = tmp_path / "exp.cfg"
+        save_experiment(small_experiment(seed=8, rho_grid=(0.0,), trials=2), cfg_path)
+        real = solver.run
+
+        def exact_on_trial_0(y, p, cfg, ground_truth=None):
+            state = real(y, p, cfg, ground_truth)
+            if cfg.seed == 8:
+                last = state.trajectory[-1]
+                state.trajectory[-1] = solver.TrajectoryPoint(last.iteration, last.objective,
+                                                              float("inf"))
+            return state
+
+        monkeypatch.setattr(solver, "run", exact_on_trial_0)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert lines[1:] == ["0,ld_infomax,inf,inf"]
 
     def test_deterministic(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

@@ -7,9 +7,7 @@ from ldinfomax.polytopes import (
     max_violation,
     preset,
     project,
-    project_box,
     project_columns,
-    project_l1_group,
 )
 from oracles import QpProjectionOracle
 
@@ -20,12 +18,20 @@ def mixed_sparsity_example():
     return PolytopeSpec(3, ("signed", "signed", "nonneg"), ((0, 1), (1, 2)))
 
 
+# closed form: disjoint groups, and one group over signed and nonnegative coordinates
+DISJOINT_GROUPS = PolytopeSpec(
+    5, ("signed", "nonneg", "signed", "nonneg", "signed"), ((0, 1), (2, 3))
+)
+MIXED_TAG_GROUP = PolytopeSpec(4, ("signed", "nonneg", "signed", "nonneg"), ((0, 1, 3),))
+
 ALL_PRESETS = [
     ("l1", preset("l1", 4)),
     ("linf", preset("linf", 4)),
     ("l1_nonneg", preset("l1_nonneg", 4)),
     ("linf_nonneg", preset("linf_nonneg", 4)),
     ("mixed", mixed_sparsity_example()),
+    ("disjoint", DISJOINT_GROUPS),
+    ("mixed_tag_group", MIXED_TAG_GROUP),
 ]
 
 
@@ -68,41 +74,49 @@ class TestContains:
 
 class TestProjectBox:
     def test_signed_clamp(self):
-        out = project_box(np.array([2.0, -3.0]), ("signed", "signed"))
-        assert np.allclose(out, [1.0, -1.0])
+        out = project(preset("linf", 2), np.array([2.0, -3.0])).point
+        assert np.array_equal(out, [1.0, -1.0])
 
     def test_nonneg_clamp(self):
-        out = project_box(np.array([-0.5, 0.3]), ("nonneg", "nonneg"))
-        assert np.allclose(out, [0.0, 0.3])
+        out = project(preset("linf_nonneg", 2), np.array([-0.5, 0.3])).point
+        assert np.array_equal(out, [0.0, 0.3])
 
     def test_interior_unchanged(self):
         v = np.array([0.2, -0.4])
-        assert np.allclose(project_box(v, ("signed", "signed")), v)
+        assert np.array_equal(project(preset("linf", 2), v).point, v)
 
     def test_matrix_columns(self):
         v = np.array([[2.0, 0.5], [-3.0, 0.1]])
-        out = project_box(v, ("signed", "signed"))
-        assert np.allclose(out, [[1.0, 0.5], [-1.0, 0.1]])
+        out = project_columns(preset("linf", 2), v)
+        assert np.array_equal(out, [[1.0, 0.5], [-1.0, 0.1]])
 
 
 class TestProjectL1Group:
     def test_symmetric_face_split(self):
-        assert np.allclose(project_l1_group(np.array([1.0, 1.0])), [0.5, 0.5])
+        out = project(preset("l1", 2), np.array([1.0, 1.0])).point
+        assert np.allclose(out, [0.5, 0.5])
 
     def test_feasible_unchanged(self):
         v = np.array([0.3, -0.2])
-        assert np.allclose(project_l1_group(v), v)
+        assert np.array_equal(project(preset("l1", 2), v).point, v)
 
     def test_matches_qp_oracle(self):
         oracle = QpProjectionOracle(preset("l1", 4))
         rng = np.random.default_rng(20)
         for _ in range(25):
             v = rng.uniform(-2, 2, 4)
-            assert np.allclose(project_l1_group(v), oracle.project(v), atol=1e-8)
+            assert np.allclose(project(preset("l1", 4), v).point, oracle.project(v), atol=1e-8)
 
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            project_l1_group(np.array([1.0]), radius=0.0)
+    @pytest.mark.parametrize("p", [DISJOINT_GROUPS, MIXED_TAG_GROUP])
+    def test_closed_form_matches_qp_oracle(self, p):
+        # disjoint groups and a group mixing domain tags need no Dykstra sweeps
+        oracle = QpProjectionOracle(p)
+        rng = np.random.default_rng(26)
+        for _ in range(25):
+            v = rng.uniform(-2, 2, p.dim)
+            rep = project(p, v)
+            assert rep.iterations == 0
+            assert np.abs(rep.point - oracle.project(v)).max() <= 1e-12
 
 
 class TestProject:

@@ -13,7 +13,6 @@ from ldinfomax.solver import (
     gradient,
     initialize,
     run,
-    run_best_of,
     step_size,
 )
 from ldinfomax.stats import (
@@ -267,32 +266,6 @@ class TestRun:
         with pytest.raises(DivergenceError) as info:
             run(scenario.y, p, SolverConfig(iterations=10, seed=3))
         assert isinstance(info.value.state, SolverState)
-
-
-class TestRunBestOf:
-    def test_picks_highest_objective(self):
-        scenario, p = small_scenario(seed=12, n=400)
-        cfg = SolverConfig(iterations=60, seed=21)
-        best = run_best_of(scenario.y, p, cfg, starts=3)
-        ctx = solver_mod._RunContext(scenario.y, cfg.epsilon, p.dim)
-        best_obj = solver_mod._Stats(best.estimate, ctx).objective
-        for i in range(3):
-            from dataclasses import replace
-
-            state = run(scenario.y, p, replace(cfg, seed=cfg.seed + 1000003 * i))
-            assert solver_mod._Stats(state.estimate, ctx).objective <= best_obj + 1e-12
-
-    def test_single_start_is_run(self, monkeypatch):
-        # nothing to choose between: no second context, the run's own state
-        scenario, p = small_scenario(seed=12, n=400)
-        cfg = SolverConfig(iterations=20, seed=21)
-        expected = run(scenario.y, p, cfg)
-        contexts = []
-        real = solver_mod._RunContext
-        monkeypatch.setattr(solver_mod, "_RunContext", lambda *a: contexts.append(1) or real(*a))
-        state = run_best_of(scenario.y, p, cfg, starts=1)
-        assert len(contexts) == 1
-        assert np.array_equal(state.estimate, expected.estimate)
 
 
 class TestTrajectoryCsv:
