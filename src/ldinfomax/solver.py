@@ -19,7 +19,7 @@ import numpy as np
 
 from . import evaluation
 from .ica import whiten
-from .polytopes import NONNEG, contains, project_columns
+from .polytopes import NONNEG, project_columns
 from .stats import _center, _cross, _RunContext, _Stats
 
 __all__ = [
@@ -178,17 +178,20 @@ def _random_orthonormal(r, rng):
 def canonical_orientation(s, y, p):
     """Resolve the box-reflection ambiguity of nonnegative coordinates.
 
-    For a nonnegative box domain the map ``s_i -> 1 - s_i`` sends the
-    polytope to itself and leaves every covariance unchanged, so the
-    objective cannot tell a row from its reflection (the +-1 sign ambiguity
-    of signed coordinates is handled by evaluation alignment instead). The
-    mixture mean is the tie-breaker the covariances discard: reflecting row
-    ``i`` flips its implied mixing column while moving the predicted mixture
-    mean by that full column. This picks the flip combination whose implied
-    mixing best reproduces the observed mixture mean, and returns the input
-    unchanged when no flip is feasible or no nonnegative coordinates exist.
+    For a nonnegative coordinate in no l1 group the map ``s_i -> 1 - s_i``
+    sends the polytope to itself and leaves every covariance unchanged, so
+    the objective cannot tell a row from its reflection (the +-1 sign
+    ambiguity of signed coordinates is handled by evaluation alignment
+    instead). The mixture mean is the tie-breaker the covariances discard:
+    with ``h`` the least-squares mixing of the centered samples, reflecting
+    row ``i`` subtracts column ``h_i`` from the predicted mixture mean. So the
+    flip set ``b`` in {0,1}^k over those k rows minimizes
+    ``||h_nn b - d||`` with ``d = h mean(s) - mean(y)``, a binary
+    least-squares problem solved exactly by :func:`_closest_binary`. Returns
+    ``s`` itself when nothing flips.
     """
-    nn = [i for i, tag in enumerate(p.domains) if tag == NONNEG]
+    grouped = {i for g in p.l1_groups for i in g}
+    nn = [i for i, tag in enumerate(p.domains) if tag == NONNEG and i not in grouped]
     if not nn:
         return s
     y = np.asarray(y, dtype=float)
@@ -199,28 +202,47 @@ def canonical_orientation(s, y, p):
         h_hat = np.linalg.solve(gram + 1e-12 * np.eye(p.dim), _cross(sc, _center(y))).T
     except np.linalg.LinAlgError:
         return s
-    mu_y = y.mean(axis=1)
-    mu_s = s.mean(axis=1)
-    best_bits, best_resid = 0, math.inf
-    for bits in range(1 << len(nn)):
-        signs = np.ones(p.dim)
-        mu = mu_s.copy()
-        for b, i in enumerate(nn):
-            if bits >> b & 1:
-                signs[i] = -1.0
-                mu[i] = 1.0 - mu_s[i]
-        resid = float(np.linalg.norm(mu_y - (h_hat * signs) @ mu))
-        if resid < best_resid - 1e-15:
-            best_bits, best_resid = bits, resid
-    if best_bits == 0:
+    q, tri = np.linalg.qr(h_hat[:, nn])
+    flips = _closest_binary(tri, q.T @ (h_hat @ s.mean(axis=1) - y.mean(axis=1)))
+    rows = [i for i, flip in zip(nn, flips) if flip]
+    if not rows:
         return s
     out = s.copy()
-    for b, i in enumerate(nn):
-        if best_bits >> b & 1:
-            out[i] = 1.0 - out[i]
-    if not contains(p, out, tol=1e-8):
-        return s
+    out[rows] = 1.0 - out[rows]
     return out
+
+
+def _closest_binary(tri, z):
+    """Exact ``argmin ||tri b - z||`` over ``b`` in {0,1}^k, ``tri`` upper triangular.
+
+    Depth-first branch and bound from the last row up (closest-point search,
+    Agrell et al., IEEE Trans. Inf. Theory 2002): each level tries the value
+    with the smaller row cost first (Schnorr-Euchner order) and prunes a
+    branch once its partial cost reaches the best leaf so far. The first leaf
+    reached is the rounded successive-cancellation point, so no incumbent is
+    seeded; among leaves of exactly equal cost the first reached is kept.
+    """
+    tri, z = tri.tolist(), z.tolist()
+    k = len(z)
+    b = [0] * k
+    best = [math.inf, None]
+
+    def descend(j, cost):
+        if j < 0:
+            best[:] = cost, b[:]
+            return
+        row = tri[j]
+        c = z[j] - sum(row[l] * b[l] for l in range(j + 1, k))
+        costs = (c * c, (row[j] - c) ** 2)
+        for v in sorted((0, 1), key=costs.__getitem__):
+            if cost + costs[v] >= best[0]:
+                break
+            b[j] = v
+            descend(j - 1, cost + costs[v])
+        b[j] = 0
+
+    descend(k - 1, 0.0)
+    return best[1]
 
 
 def _record(state, ground_truth, y, p):

@@ -4,16 +4,17 @@ Everything here deliberately avoids the code paths it checks: covariances
 are accumulated in two passes, log-determinants go through eigenvalues,
 conditional covariances through the joint-matrix inverse, projections
 through active-set enumeration over the polytope's H-representation, and
-alignments through exhaustive search.
+alignments and box reflections through exhaustive search.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ldinfomax import ld_mutual_information
-from ldinfomax.polytopes import SIGNED
+from ldinfomax.polytopes import NONNEG, SIGNED
 
 
 def two_pass_covariance(x):
@@ -166,6 +167,49 @@ def exhaustive_alignment_mse(s_est, s_true):
                 total += cost_plus[i, perm[i]] if signs[i] == 1 else cost_minus[i, perm[i]]
             best = min(best, total)
     return best
+
+
+def exhaustive_orientation(s, y, p):
+    """Box reflection of ``s`` chosen by trying all 2^k flip sets.
+
+    The k candidate rows are the nonnegative coordinates in no l1 group.
+    With ``h`` the least-squares mixing of the centered samples, a flip set
+    negates its columns of ``h`` and reflects its entries of ``mean(s)``; the
+    first set in counting order whose predicted mean is closest to
+    ``mean(y)`` wins. Returns ``s`` itself when that set is empty.
+    """
+    grouped = {i for g in p.l1_groups for i in g}
+    nn = [i for i, tag in enumerate(p.domains) if tag == NONNEG and i not in grouped]
+    if not nn:
+        return s
+    y = np.asarray(y, dtype=float)
+    n = s.shape[1]
+    sc = s - s.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    try:
+        h_hat = np.linalg.solve(sc @ sc.T / n + 1e-12 * np.eye(p.dim), sc @ yc.T / n).T
+    except np.linalg.LinAlgError:
+        return s
+    mu_y = y.mean(axis=1)
+    mu_s = s.mean(axis=1)
+    best_bits, best_resid = 0, math.inf
+    for bits in range(1 << len(nn)):
+        signs = np.ones(p.dim)
+        mu = mu_s.copy()
+        for b, i in enumerate(nn):
+            if bits >> b & 1:
+                signs[i] = -1.0
+                mu[i] = 1.0 - mu_s[i]
+        resid = float(np.linalg.norm(mu_y - (h_hat * signs) @ mu))
+        if resid < best_resid - 1e-15:
+            best_bits, best_resid = bits, resid
+    if best_bits == 0:
+        return s
+    out = s.copy()
+    for b, i in enumerate(nn):
+        if best_bits >> b & 1:
+            out[i] = 1.0 - out[i]
+    return out
 
 
 def two_solve_gradient(s, y, epsilon):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ import ldinfomax.solver as solver_mod
 from ldinfomax.config import write_trajectory_csv
 from ldinfomax.datagen import ScenarioConfig, make_scenario
 from ldinfomax.evaluation import sinr_db
-from ldinfomax.polytopes import contains, preset
+from ldinfomax.polytopes import NONNEG, SIGNED, PolytopeSpec, contains, preset
 from ldinfomax.solver import (
     DivergenceError,
     SolverConfig,
     SolverState,
+    canonical_orientation,
     gradient,
     initialize,
     run,
@@ -22,7 +25,7 @@ from ldinfomax.stats import (
     ld_mutual_information,
     sample_covariance,
 )
-from oracles import finite_difference_gradient, two_solve_gradient
+from oracles import exhaustive_orientation, finite_difference_gradient, two_solve_gradient
 
 
 def small_scenario(seed=0, n=300, noiseless=True):
@@ -266,6 +269,73 @@ class TestRun:
         with pytest.raises(DivergenceError) as info:
             run(scenario.y, p, SolverConfig(iterations=10, seed=3))
         assert isinstance(info.value.state, SolverState)
+
+
+class TestCanonicalOrientation:
+    @staticmethod
+    def scenario(p, seed, n=500, snr_db=30.0):
+        cfg = ScenarioConfig(
+            r=p.dim, m=p.dim + 3, n=n, rho=0.0, snr_db=snr_db, polytope=p, seed=seed,
+            source_mode="uniform_iid",
+        )
+        return make_scenario(cfg)
+
+    def test_matches_exhaustive_oracle(self):
+        # early, poorly fitted iterates are where a relax-and-round choice
+        # departs from the exhaustive optimum
+        flipped = 0
+        for r in range(1, 11):
+            p = preset("linf_nonneg", r)
+            for seed in range(3):
+                scenario = self.scenario(p, 40 + seed)
+                cfg = SolverConfig(iterations=50, seed=seed)
+                state = run(scenario.y, p, cfg)
+                rng = np.random.default_rng(seed)
+                for s in (initialize(scenario.y, p, cfg), state.s, rng.random((r, 500))):
+                    out = canonical_orientation(s, scenario.y, p)
+                    assert np.array_equal(out, exhaustive_orientation(s, scenario.y, p))
+                    flipped += out is not s
+        # most instances flip some rows, so agreement is not the trivial "no flip"
+        assert flipped >= 60
+
+    def test_reflected_true_rows_flip_back(self):
+        p = preset("linf_nonneg", 5)
+        scenario = self.scenario(p, 50, n=2000, snr_db=None)
+        assert canonical_orientation(scenario.s_true, scenario.y, p) is scenario.s_true
+        rows = [0, 2, 3]
+        s = scenario.s_true.copy()
+        s[rows] = 1.0 - s[rows]
+        out = canonical_orientation(s, scenario.y, p)
+        assert np.array_equal(out[rows], 1.0 - s[rows])
+        assert np.array_equal(out[[1, 4]], scenario.s_true[[1, 4]])
+
+    def test_no_box_only_nonneg_rows_returns_input(self):
+        for name in ("linf", "l1", "l1_nonneg"):
+            p = preset(name, 4)
+            scenario = self.scenario(p, 51)
+            assert canonical_orientation(scenario.s_true, scenario.y, p) is scenario.s_true
+
+    def test_mixed_domains_flip_only_box_nonneg_rows(self):
+        # rows 0 and 2 are nonneg boxes; row 3 is nonneg but shares an l1 pair,
+        # so its reflection is no symmetry and stays as given
+        p = PolytopeSpec(5, (NONNEG, SIGNED, NONNEG, NONNEG, SIGNED), ((3, 4),))
+        scenario = self.scenario(p, 52, n=2000, snr_db=None)
+        s = scenario.s_true.copy()
+        s[[0, 2, 3]] = 1.0 - s[[0, 2, 3]]
+        out = canonical_orientation(s, scenario.y, p)
+        assert np.array_equal(out[[0, 2]], 1.0 - s[[0, 2]])
+        assert np.array_equal(out[[1, 3, 4]], s[[1, 3, 4]])
+
+    def test_r20_within_time_bound(self):
+        # 2^20 flip sets would take tens of seconds per call
+        p = preset("linf_nonneg", 20)
+        scenario = self.scenario(p, 53, n=2000)
+        cfg = SolverConfig(iterations=300, seed=3)
+        for s in (initialize(scenario.y, p, cfg), run(scenario.y, p, cfg).s):
+            t0 = time.perf_counter()
+            out = canonical_orientation(s, scenario.y, p)
+            assert time.perf_counter() - t0 < 1.0
+            assert contains(p, out, tol=1e-12)
 
 
 class TestTrajectoryCsv:
