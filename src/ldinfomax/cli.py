@@ -25,25 +25,15 @@ import numpy as np
 from . import evaluation, ica, solver
 from .config import (
     ExperimentConfig,
-    experiment_to_mapping,
     format_float,
     load_experiment,
+    save_experiment,
     write_csv,
-    write_kv,
 )
 from .datagen import make_scenario, save_scenario
 from .polytopes import contains
 
 __all__ = ["main", "cmd_gen", "cmd_run", "cmd_sweep", "cmd_eval"]
-
-
-def _load_matrix(path):
-    data = np.loadtxt(path, delimiter=",", dtype=float)
-    return np.atleast_2d(data)
-
-
-def _sidecar(cfg, out_dir, name="experiment.cfg"):
-    write_kv(Path(out_dir) / name, experiment_to_mapping(cfg))
 
 
 def cmd_gen(cfg, out_dir):
@@ -52,7 +42,7 @@ def cmd_gen(cfg, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     scenario = make_scenario(cfg.scenario)
     save_scenario(scenario, out)
-    _sidecar(cfg, out, "scenario.cfg")
+    save_experiment(cfg, out / "scenario.cfg")
 
     feasible = contains(cfg.scenario.polytope, scenario.s_true, tol=1e-9)
     clean = scenario.h_mix @ scenario.s_true
@@ -144,7 +134,7 @@ def cmd_run(cfg, out_dir):
         ("trial", "seed", "status", "final_objective", "final_sinr_db"),
         finals,
     )
-    _sidecar(cfg, out, "run.cfg")
+    save_experiment(cfg, out / "run.cfg")
     if not curves:
         print(f"wrote trials.csv, run.cfg to {out}")
         print("error: no trial succeeded; see trials.csv", file=sys.stderr)
@@ -189,7 +179,7 @@ def cmd_sweep(cfg, out_dir):
                 flush=True,
             )
     write_csv(out / "sweep.csv", ("rho", "algo", "sinr_mean_db", "sinr_std_db"), rows)
-    _sidecar(cfg, out, "sweep.cfg")
+    save_experiment(cfg, out / "sweep.cfg")
     print(f"wrote sweep.csv, sweep.cfg to {out}")
     if missing:
         print(f"error: no trial succeeded for {', '.join(missing)}", file=sys.stderr)
@@ -199,8 +189,9 @@ def cmd_sweep(cfg, out_dir):
 
 def cmd_eval(estimate_path, truth_path, out_dir):
     """Score an estimate against ground truth; print and write the report."""
-    s_est = _load_matrix(estimate_path)
-    s_true = _load_matrix(truth_path)
+    # ndmin=2 reads a one-sample file as r x 1, not 1 x r
+    s_est = np.loadtxt(estimate_path, delimiter=",", ndmin=2)
+    s_true = np.loadtxt(truth_path, delimiter=",", ndmin=2)
     report = evaluation.evaluate(s_est, s_true)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

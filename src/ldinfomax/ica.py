@@ -163,9 +163,8 @@ def ica_separate(y, r, cfg):
     scale.
     """
     y = np.asarray(y, dtype=float)
-    z, w_white = whiten(y, r)
-    w = ica_infomax(z, cfg)
-    return w @ z
+    z, _ = whiten(y, r)
+    return ica_infomax(z, cfg) @ z
 
 
 def affine_match_to_reference(s_est, s_ref):

@@ -14,7 +14,8 @@ alternating projection with correction terms, which converges to the exact
 Euclidean projection onto the intersection.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -79,16 +80,25 @@ class PolytopeSpec:
         object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "l1_groups", groups)
 
-    @property
+    @cached_property
     def lower(self):
-        """Per-coordinate lower bounds: -1 signed, 0 nonneg (with ``upper``,
-        the one place domain tags become bounds)."""
-        return np.array([-1.0 if t == SIGNED else 0.0 for t in self.domains])
+        """Read-only per-coordinate lower bounds: -1 signed, 0 nonneg (with
+        ``upper``, the one place domain tags become bounds)."""
+        return _read_only(np.array([-1.0 if t == SIGNED else 0.0 for t in self.domains]))
 
-    @property
+    @cached_property
     def upper(self):
-        """Per-coordinate upper bounds, all 1."""
-        return np.ones(self.dim)
+        """Read-only per-coordinate upper bounds, all 1."""
+        return _read_only(np.ones(self.dim))
+
+    def __getstate__(self):
+        # pickle the declared fields only; the bounds are rebuilt on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 def preset(name, dim):

@@ -4,7 +4,7 @@ maximization.
 The iteration is ``S <- P(S + mu_k * grad)`` where ``P`` projects every
 column onto the polytope, ``grad`` is the gradient of the regularized
 LD-mutual information between the fixed mixtures and the current source
-estimate, and ``mu_k`` follows a diminishing schedule. Because the last
+estimate, and ``mu_k = mu0 / sqrt(k)`` for ``k >= 1``. Because the last
 iterate of a projected gradient method with diminishing steps keeps
 oscillating, the solver also maintains a polynomial-decay running average of
 the iterates (feasible by convexity) and reports it as the source estimate;
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation
+from .datagen import _map_box
 from .ica import whiten
 from .polytopes import NONNEG, project_columns
 from .stats import _center, _cross, _RunContext, _Stats
@@ -31,11 +32,8 @@ __all__ = [
     "gradient",
     "initialize",
     "run",
-    "step_size",
 ]
 
-SCHEDULES = ("inverse_sqrt",)
-INIT_STRATEGIES = ("projected_random_map", "random")
 # iterate j of the running average is weighted proportionally to j**AVERAGING_POWER
 AVERAGING_POWER = 6
 
@@ -44,17 +42,15 @@ AVERAGING_POWER = 6
 class SolverConfig:
     """Hyperparameters of the projected gradient solver.
 
-    The step rule is ``mu0 / sqrt(k + 1)``; ``schedule`` names it and accepts
-    only ``"inverse_sqrt"``. ``init`` picks the starting point (see
-    :func:`initialize`).
+    There is one step rule, ``mu0 / sqrt(k)`` at step ``k >= 1``, and
+    one start, the projected random map of :func:`initialize` (uniform in the
+    box when the mixtures are rank deficient). ``seed`` draws that start.
     """
 
     epsilon: float = 1e-5
     mu0: float = 200.0
     iterations: int = 10000
-    schedule: str = "inverse_sqrt"
     record_every: int = 100
-    init: str = "projected_random_map"
     seed: int = 0
 
     def __post_init__(self):
@@ -64,10 +60,6 @@ class SolverConfig:
             raise ValueError("mu0 must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.init not in INIT_STRATEGIES:
-            raise ValueError(f"unknown init strategy {self.init!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -98,11 +90,6 @@ class DivergenceError(RuntimeError):
         self.state = state
 
 
-def step_size(cfg, k):
-    """Scheduled step size at iteration ``k`` (0-based)."""
-    return cfg.mu0 / math.sqrt(k + 1)
-
-
 # ---------------------------------------------------------------------------
 # the gradient
 
@@ -128,13 +115,12 @@ def gradient(s, y, epsilon):
 def initialize(y, p, cfg):
     """Build a feasible starting point from the mixtures.
 
-    Returns the feasible ``(p.dim, N)`` start. The default "projected_random_map"
-    whitens the mixtures to ``p.dim`` principal components, applies a random
-    orthonormal map, rescales by the largest column norm, shifts every
-    coordinate to the center of its box, and projects every column into the
-    polytope. When the mixtures have rank below ``p.dim`` it falls back to
-    "random" (uniform draws in the bounding box, projected) and emits a
-    warning.
+    Returns the feasible ``(p.dim, N)`` start: the mixtures whitened to
+    ``p.dim`` principal components, under a random orthonormal map, rescaled
+    by the largest column norm, shifted to the center of the box, with every
+    column projected into the polytope. When the mixtures have rank below
+    ``p.dim`` it warns and falls back to uniform draws in the bounding box,
+    projected. ``cfg.seed`` draws either start.
 
     Raises
     ------
@@ -146,24 +132,19 @@ def initialize(y, p, cfg):
     if p.dim > m:
         raise ValueError(f"cannot estimate r={p.dim} sources from M={m} mixtures")
     rng = np.random.default_rng(cfg.seed)
-    if cfg.init == "projected_random_map":
-        try:
-            z, _ = whiten(y, p.dim)
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                "mixture rank below the source count; falling back to random init",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            x = _random_orthonormal(p.dim, rng) @ z
-            x = x / max(np.linalg.norm(x, axis=0).max(), np.finfo(float).tiny)
-            shift = (p.lower + p.upper) / 2
-            return project_columns(p, x + shift[:, None])
-
-    lo = p.lower[:, None]
-    s0 = lo + (p.upper[:, None] - lo) * rng.random((p.dim, y.shape[1]))
-    return project_columns(p, s0)
+    try:
+        z, _ = whiten(y, p.dim)
+    except np.linalg.LinAlgError:
+        warnings.warn(
+            "mixture rank below the source count; falling back to random init",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return project_columns(p, _map_box(rng.random((p.dim, y.shape[1])), p))
+    x = _random_orthonormal(p.dim, rng) @ z
+    x = x / max(np.linalg.norm(x, axis=0).max(), np.finfo(float).tiny)
+    shift = (p.lower + p.upper) / 2
+    return project_columns(p, x + shift[:, None])
 
 
 def _random_orthonormal(r, rng):
@@ -271,7 +252,7 @@ def run(y, p, cfg, ground_truth=None):
     state = SolverState(s=s0, k=0, objective=stats.objective, estimate=s0.copy())
     final = _record(state, ground_truth, y, p)
     for k in range(1, cfg.iterations + 1):
-        state.s = project_columns(p, state.s + stats.gradient(ctx, step_size(cfg, k - 1)))
+        state.s = project_columns(p, state.s + stats.gradient(ctx, cfg.mu0 / math.sqrt(k)))
         stats = _Stats(state.s, ctx)
         state.k, state.objective = k, stats.objective
         beta = (AVERAGING_POWER + 1.0) / (k + AVERAGING_POWER)

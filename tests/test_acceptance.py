@@ -209,7 +209,7 @@ def test_criterion_6_convergence_curve_analog():
         )
         scenario = make_scenario(sc_cfg)
         cfg = SolverConfig(
-            epsilon=1e-5, mu0=200.0, schedule="inverse_sqrt",
+            epsilon=1e-5, mu0=200.0,
             iterations=iterations, record_every=record_every, seed=seed,
         )
         state = run(scenario.y, sc_cfg.polytope, cfg, ground_truth=scenario.s_true)

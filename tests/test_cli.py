@@ -38,9 +38,7 @@ scenario.seed = 7
 solver.epsilon = 1e-05
 solver.mu0 = 20
 solver.iterations = 80
-solver.schedule = inverse_sqrt
 solver.record_every = 40
-solver.init = projected_random_map
 solver.seed = 7
 ica.learning_rate = 0.1
 ica.max_iter = 500
@@ -131,6 +129,11 @@ class TestConfigRoundtrip:
         path.write_text("solver.iteration = 5\n")
         with pytest.raises(ValueError, match="solver.iteration"):
             load_experiment(path)
+        # sidecars written while the step rule and the start were settable
+        for key, value in (("solver.schedule", "inverse_sqrt"), ("solver.init", "random")):
+            path.write_text(f"{SIDECAR_TEXT}{key} = {value}\n")
+            with pytest.raises(ValueError, match=key):
+                load_experiment(path)
 
     def test_out_of_range_rho_rejected(self):
         # r=5 needs rho in (-0.25, 1); a bad value fails before any trial runs
@@ -351,6 +354,19 @@ class TestEval:
         assert value == pytest.approx(10 * np.log10(1 / 4), abs=1e-6)
         report = (tmp_path / "o" / "report.csv").read_text().splitlines()
         assert report[0] == "field,value"
+
+    def test_one_sample_files_keep_their_rows(self, tmp_path):
+        # a 3 x 1 estimate and truth are three sources of one sample each
+        truth = np.array([[0.5], [-0.25], [1.0]])
+        np.savetxt(tmp_path / "t.csv", truth, delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "e.csv", truth[[1, 2, 0]], delimiter=",", fmt="%.17g")
+        assert main(["eval", str(tmp_path / "e.csv"), str(tmp_path / "t.csv"),
+                     "--out", str(tmp_path / "o")]) == 0
+        report = dict(
+            line.split(",", 1)
+            for line in (tmp_path / "o" / "report.csv").read_text().splitlines()[1:]
+        )
+        assert len(report["perm"].split()) == 3
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")]) == 1

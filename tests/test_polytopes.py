@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,25 @@ class TestSpecValidation:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("l2", 3)
+
+
+class TestBounds:
+    def test_read_only_and_built_once(self):
+        p = mixed_sparsity_example()
+        assert p.lower is p.lower and p.upper is p.upper
+        assert np.array_equal(p.lower, [-1.0, -1.0, 0.0])
+        assert np.array_equal(p.upper, [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            p.lower[0] = 0.0
+
+    def test_pickle_equality_and_hash_ignore_cached_bounds(self):
+        p = mixed_sparsity_example()
+        fresh = pickle.dumps(p)
+        assert p.lower.size == p.upper.size == 3  # builds both cached bounds
+        assert pickle.dumps(p) == fresh
+        q = pickle.loads(fresh)
+        assert q == p and hash(q) == hash(p)
+        assert not q.lower.flags.writeable
 
 
 class TestContains:

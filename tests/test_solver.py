@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ import ldinfomax.solver as solver_mod
 from ldinfomax.config import write_trajectory_csv
 from ldinfomax.datagen import ScenarioConfig, make_scenario
 from ldinfomax.evaluation import sinr_db
-from ldinfomax.polytopes import NONNEG, SIGNED, PolytopeSpec, contains, preset
+from ldinfomax.polytopes import NONNEG, SIGNED, PolytopeSpec, contains, preset, project_columns
 from ldinfomax.solver import (
     DivergenceError,
     SolverConfig,
@@ -16,7 +17,6 @@ from ldinfomax.solver import (
     gradient,
     initialize,
     run,
-    step_size,
 )
 from ldinfomax.stats import (
     CovarianceBundle,
@@ -36,12 +36,39 @@ def small_scenario(seed=0, n=300, noiseless=True):
     return make_scenario(cfg), cfg.polytope
 
 
+def random_start(monkeypatch):
+    """Make :func:`initialize` take its uniform-in-box fallback."""
+    def rank_deficient(*_):
+        raise np.linalg.LinAlgError("rank deficient")
+
+    monkeypatch.setattr(solver_mod, "whiten", rank_deficient)
+
+
+def manual_steps(y, p, cfg):
+    """Iterate ``project_columns(p, s + mu0/sqrt(k) * gradient)`` for k = 1..iterations."""
+    s = initialize(y, p, cfg)
+    for k in range(1, cfg.iterations + 1):
+        s = project_columns(p, s + cfg.mu0 / math.sqrt(k) * gradient(s, y, cfg.epsilon))
+    return s
+
+
 class TestStepSize:
+    # run steps by mu0/sqrt(k) at step k = 1, 2, ...; an off-by-one rule
+    # mu0/sqrt(k+1) moves the iterates far beyond atol
     def test_inverse_sqrt_start(self):
-        assert step_size(SolverConfig(), 0) == pytest.approx(200.0)
+        # the first step moves by the full default mu0 = 200
+        scenario, p = small_scenario(seed=5, noiseless=False)
+        cfg = SolverConfig(iterations=1, seed=5)
+        assert cfg.mu0 == pytest.approx(200.0)
+        expected = manual_steps(scenario.y, p, cfg)
+        assert np.allclose(run(scenario.y, p, cfg).s, expected, rtol=0.0, atol=1e-9)
 
     def test_inverse_sqrt_decay(self):
-        assert step_size(SolverConfig(), 3) == pytest.approx(100.0)
+        # steps 1..4 move by 200, 200/sqrt(2), 200/sqrt(3), 100
+        scenario, p = small_scenario(seed=5, noiseless=False)
+        cfg = SolverConfig(iterations=4, seed=5)
+        expected = manual_steps(scenario.y, p, cfg)
+        assert np.allclose(run(scenario.y, p, cfg).s, expected, rtol=0.0, atol=1e-9)
 
 
 class TestGradient:
@@ -123,9 +150,8 @@ class TestGradient:
 class TestInitialize:
     def test_columns_feasible(self):
         scenario, p = small_scenario(seed=1)
-        for strategy in ("projected_random_map", "random"):
-            s0 = initialize(scenario.y, p, SolverConfig(init=strategy, seed=3))
-            assert contains(p, s0, tol=1e-9)
+        s0 = initialize(scenario.y, p, SolverConfig(seed=3))
+        assert contains(p, s0, tol=1e-9)
 
     def test_deterministic(self):
         scenario, p = small_scenario(seed=2)
@@ -152,9 +178,8 @@ class TestInitialize:
 
     def test_more_sources_than_mixtures_rejected(self):
         y = np.random.default_rng(6).standard_normal((2, 50))
-        for init in ("projected_random_map", "random"):
-            with pytest.raises(ValueError, match=r"r=3 .*M=2"):
-                initialize(y, preset("linf", 3), SolverConfig(init=init))
+        with pytest.raises(ValueError, match=r"r=3 .*M=2"):
+            initialize(y, preset("linf", 3), SolverConfig())
 
 
 class TestSharedKernel:
@@ -176,7 +201,7 @@ class TestStep:
         s = np.array([[0.5, -0.5, 0.5, -0.5]])
         y = np.array([[1.0, 1.0, -1.0, -1.0]])
         cfg = SolverConfig()
-        move = step_size(cfg, 0) * gradient(s, y, cfg.epsilon)
+        move = cfg.mu0 * gradient(s, y, cfg.epsilon)
         assert np.allclose(move, 0.0, atol=1e-12)
 
     def test_iterates_stay_feasible(self):
@@ -196,7 +221,7 @@ class TestRun:
         assert np.array_equal(state.s, s0)
         assert state.k == 0
 
-    def test_ascent_on_noiseless_antisparse(self):
+    def test_ascent_on_noiseless_antisparse(self, monkeypatch):
         cfg_s = ScenarioConfig(
             r=3, m=5, n=2000, rho=0.0, snr_db=None,
             polytope=preset("linf", 3), seed=10, source_mode="uniform_iid",
@@ -205,16 +230,20 @@ class TestRun:
         # the default init is nearly linear in the mixtures, which already
         # maximizes the conditional term; start from random feasible points
         # so the recorded trajectory reflects plain ascent
-        cfg = SolverConfig(iterations=400, seed=10, init="random")
-        state = run(scenario.y, cfg_s.polytope, cfg)
+        random_start(monkeypatch)
+        cfg = SolverConfig(iterations=400, seed=10)
+        with pytest.warns(RuntimeWarning, match="falling back to random init"):
+            state = run(scenario.y, cfg_s.polytope, cfg)
         assert state.trajectory[-1].objective > state.trajectory[0].objective
 
-    def test_endpoint_objective_improvement_rate(self):
+    def test_endpoint_objective_improvement_rate(self, monkeypatch):
+        random_start(monkeypatch)
         improved = 0
         for seed in range(20):
             scenario, p = small_scenario(seed=100 + seed, n=250)
-            cfg = SolverConfig(iterations=150, seed=seed, init="random")
-            state = run(scenario.y, p, cfg)
+            cfg = SolverConfig(iterations=150, seed=seed)
+            with pytest.warns(RuntimeWarning, match="falling back to random init"):
+                state = run(scenario.y, p, cfg)
             if state.trajectory[-1].objective >= state.trajectory[0].objective:
                 improved += 1
         assert improved >= 19
@@ -361,7 +390,3 @@ class TestConfigValidation:
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(mu0=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(schedule="linear")
-        with pytest.raises(ValueError):
-            SolverConfig(init="zeros")
