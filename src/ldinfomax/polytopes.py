@@ -11,9 +11,14 @@ The domain tags become bounds only through ``PolytopeSpec.lower`` and
 closed form: a box clamp, then per group a capped-simplex projection of the
 magnitudes with the signs put back. Overlapping groups use Dykstra's
 alternating projection with correction terms, which converges to the exact
-Euclidean projection onto the intersection.
+Euclidean projection onto the intersection. Dykstra's loop runs each column
+until that column's own first quiet sweep and then drops it from the working
+set, so a column's result does not depend on the other columns. Columns
+still moving after ``DYKSTRA_MAX_SWEEPS`` are returned as they stand, and
+``project_columns`` warns when any of them is infeasible.
 """
 
+import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -143,14 +148,18 @@ def max_violation(p, v):
     """Largest constraint violation of ``v`` (0 when feasible).
 
     Accepts a vector of shape (dim,) or a matrix of shape (dim, N); for a
-    matrix the violation is taken over all columns.
+    matrix the violation is taken over all columns (0 when N is 0).
     """
     v = _check_point(p, v)
-    worst = max(float((p.lower.reshape(-1, *([1] * (v.ndim - 1))) - v).max()),
-                float((v - p.upper.reshape(-1, *([1] * (v.ndim - 1)))).max()))
+    return float(_column_violations(p, v[:, None] if v.ndim == 1 else v).max(initial=0.0))
+
+
+def _column_violations(p, v):
+    """Largest constraint violation of each column of ``v``, floored at 0."""
+    worst = np.maximum(p.lower[:, None] - v, v - p.upper[:, None]).max(axis=0, initial=0.0)
     for g in p.l1_groups:
-        worst = max(worst, float(np.abs(v[list(g)]).sum(axis=0).max()) - 1.0)
-    return max(worst, 0.0)
+        np.maximum(worst, np.abs(v[list(g)]).sum(axis=0) - 1.0, out=worst)
+    return worst
 
 
 def contains(p, s, tol=FEASIBILITY_TOL):
@@ -170,10 +179,11 @@ def _capped_simplex(u):
     feasible; any other lands on the simplex face as ``max(u - theta, 0)``.
     Overwrites and returns ``u``, which saves a pass over the samples.
     """
-    over = u.sum(axis=0) > 1.0
-    if np.any(over):
-        uo = u[:, over]
-        u[:, over] = np.maximum(uo - _simplex_threshold(uo), 0.0)
+    over = (u.sum(axis=0) > 1.0).nonzero()[0]
+    if over.size:
+        uo = u.take(over, axis=1)
+        uo -= _simplex_threshold(uo)
+        u[:, over] = np.maximum(uo, 0.0, out=uo)
     return u
 
 
@@ -181,9 +191,11 @@ def _simplex_threshold(u):
     """Per-column theta with sum(max(u - theta, 0)) == 1, by sorting
     (Duchi et al. 2008)."""
     desc = np.sort(u, axis=0)[::-1]
-    css = (np.cumsum(desc, axis=0) - 1.0) / np.arange(1, len(u) + 1)[:, None]
+    css = desc.cumsum(axis=0)
+    css -= 1.0
+    css /= np.arange(1, len(u) + 1)[:, None]
     # rho = largest prefix length with desc > css; css at that index is theta
-    rho = np.sum(desc > css, axis=0) - 1
+    rho = (desc > css).sum(axis=0) - 1
     return css[rho, np.arange(u.shape[1])]
 
 
@@ -208,47 +220,68 @@ def _project_matrix(p, v):
     """Shared column-parallel projection; v has shape (dim, N).
 
     Pairwise-disjoint groups (none at all included) separate, so the box
-    clamp and one closed form per group are exact. Overlapping groups go
-    through Dykstra.
+    clamp and one closed form per group are exact; a group over every
+    coordinate leaves nothing to clamp. Overlapping groups go through
+    Dykstra. Returns the projection, the Dykstra sweeps run and the indices
+    of the columns still moving when the sweeps ran out.
     """
     groups = [list(g) for g in p.l1_groups]
     if len(set().union(*groups)) < sum(map(len, groups)):
         return _dykstra_columns(p, v, groups)
+    if groups == [list(range(p.dim))]:
+        return _l1_ball(v, p.lower < 0), 0, ()
     out = _clamp(p, v)
     for g in groups:
         out[g] = _l1_ball(v[g], p.lower[g] < 0)
-    return out, 0
+    return out, 0, ()
 
 
 def _dykstra_columns(p, v, groups):
     """Dykstra's algorithm over the box and each group's l1 cylinder.
 
-    Convergence is declared when no set projection moves the iterate within
-    a full sweep; the per-sweep moves equal the correction increments, so a
-    quiet sweep means both the iterate and every correction are stationary.
+    A column is done after its first sweep that moves none of its entries by
+    ``DYKSTRA_TOL``. The per-sweep moves equal the correction increments, so
+    a quiet sweep means both the column and its corrections are stationary.
     (The iterate alone can sit still for a sweep while corrections evolve,
-    so its successive change is not a safe stopping signal.)
+    so its successive change is not a safe stopping signal.) Columns do not
+    interact, so each one ends exactly where projecting it alone would, and
+    a finished column leaves the working set. A group's correction is zero
+    off the group's rows, so a group step reads and writes only those rows.
+    Columns still moving after ``DYKSTRA_MAX_SWEEPS`` are returned as they
+    stand; ``project_columns`` warns when they are infeasible.
     """
-    x = v.copy()
-    corrections = [np.zeros_like(v) for _ in range(1 + len(groups))]
+    out = np.empty_like(v)
+    active = np.arange(v.shape[1])
+    x = v  # every step below makes a new array before writing in place
+    box = np.zeros_like(v)
+    corrections = [np.zeros((len(g), v.shape[1])) for g in groups]
     sweeps = 0
-    for sweeps in range(1, DYKSTRA_MAX_SWEEPS + 1):
-        move = 0.0
-        w = x + corrections[0]
+    while active.size and sweeps < DYKSTRA_MAX_SWEEPS:
+        sweeps += 1
+        w = x + box
         y = _clamp(p, w)
-        corrections[0] = w - y
-        move = max(move, float(np.abs(y - x).max()))
+        box = w - y
+        move = np.abs(y - x).max(axis=0)
         x = y
-        for i, g in enumerate(groups, start=1):
-            w = x + corrections[i]
-            y = w.copy()
-            y[g] = np.copysign(_capped_simplex(np.abs(w[g])), w[g])
+        for i, g in enumerate(groups):
+            xg = x[g]
+            w = xg + corrections[i]
+            y = np.copysign(_capped_simplex(np.abs(w)), w)
             corrections[i] = w - y
-            move = max(move, float(np.abs(y - x).max()))
-            x = y
-        if move < DYKSTRA_TOL:
-            break
-    return x, sweeps
+            np.maximum(move, np.abs(y - xg).max(axis=0), out=move)
+            x[g] = y
+        quiet = move < DYKSTRA_TOL
+        if quiet.any():
+            out[:, active[quiet]] = x[:, quiet]
+            keep = ~quiet
+            active, x, box = active[keep], x[:, keep], box[:, keep]
+            corrections = [c[:, keep] for c in corrections]
+    out[:, active] = x
+    # the full-column form adds each group's zero correction to the rows
+    # outside it, turning -0.0 into 0.0 there; doing so for the last group
+    # gives every zero the sign that form gives it
+    out[[i for i in range(p.dim) if i not in groups[-1]]] += 0.0
+    return out, sweeps, active
 
 
 def project(p, v):
@@ -261,15 +294,30 @@ def project(p, v):
     v = _check_point(p, v)
     if v.ndim != 1:
         raise ValueError("project expects a single point; use project_columns")
-    out, sweeps = _project_matrix(p, v[:, None])
+    out, sweeps, _ = _project_matrix(p, v[:, None])
     out = out[:, 0]
     return ProjectionReport(out, sweeps, max_violation(p, out))
 
 
 def project_columns(p, s):
-    """Project every column of ``s`` onto the polytope independently."""
+    """Project every column of ``s`` onto the polytope independently.
+
+    Issues one ``RuntimeWarning`` when Dykstra's loop leaves columns still
+    moving after ``DYKSTRA_MAX_SWEEPS`` that violate the polytope by more
+    than ``FEASIBILITY_TOL``; those columns are returned as they stand.
+    """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != p.dim:
         raise ValueError(f"expected shape ({p.dim}, N), got {s.shape}")
-    out, _ = _project_matrix(p, s)
+    out, _, moving = _project_matrix(p, s)
+    if len(moving):
+        worst = _column_violations(p, out[:, moving])
+        worst = worst[worst > FEASIBILITY_TOL]
+        if worst.size:
+            warnings.warn(
+                f"Dykstra's projection stopped after {DYKSTRA_MAX_SWEEPS} sweeps with "
+                f"{worst.size} columns still moving and infeasible "
+                f"(worst violation {worst.max():.3g})",
+                RuntimeWarning, stacklevel=2,
+            )
     return out

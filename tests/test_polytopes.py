@@ -1,8 +1,10 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
+from ldinfomax import polytopes
 from ldinfomax.polytopes import (
     PolytopeSpec,
     contains,
@@ -25,6 +27,8 @@ DISJOINT_GROUPS = PolytopeSpec(
     5, ("signed", "nonneg", "signed", "nonneg", "signed"), ((0, 1), (2, 3))
 )
 MIXED_TAG_GROUP = PolytopeSpec(4, ("signed", "nonneg", "signed", "nonneg"), ((0, 1, 3),))
+# three overlapping signed pairs: columns need different Dykstra sweep counts
+MIXED_PAIRS = PolytopeSpec(5, ("signed",) * 5, ((0, 1), (1, 2), (2, 3)))
 
 ALL_PRESETS = [
     ("l1", preset("l1", 4)),
@@ -34,6 +38,7 @@ ALL_PRESETS = [
     ("mixed", mixed_sparsity_example()),
     ("disjoint", DISJOINT_GROUPS),
     ("mixed_tag_group", MIXED_TAG_GROUP),
+    ("mixed_pairs", MIXED_PAIRS),
 ]
 
 
@@ -185,7 +190,36 @@ class TestProjectColumns:
         s = rng.uniform(-2, 2, (p.dim, 30))
         out = project_columns(p, s)
         for j in range(s.shape[1]):
-            assert np.allclose(out[:, j], project(p, s[:, j]).point, atol=1e-10)
+            assert np.array_equal(out[:, j], project(p, s[:, j]).point)
+
+    @pytest.mark.parametrize("name,p", ALL_PRESETS)
+    def test_zero_columns(self, name, p):
+        empty = np.zeros((p.dim, 0))
+        out = project_columns(p, empty)
+        assert out.shape == (p.dim, 0)
+        assert max_violation(p, empty) == 0.0
+        assert contains(p, empty)
+
+    def test_dykstra_warns_when_sweeps_run_out_infeasible(self, monkeypatch):
+        # one sweep from zero corrections only shrinks magnitudes and always
+        # ends feasible; the second adds the corrections back
+        monkeypatch.setattr(polytopes, "DYKSTRA_MAX_SWEEPS", 2)
+        s = np.random.default_rng(29).normal(0.0, 2.0, (MIXED_PAIRS.dim, 40))
+        with pytest.warns(RuntimeWarning, match="after 2 sweeps") as record:
+            out = project_columns(MIXED_PAIRS, s)
+        worst = [max_violation(MIXED_PAIRS, out[:, j]) for j in range(out.shape[1])]
+        bad = [w for w in worst if w > polytopes.FEASIBILITY_TOL]
+        assert 0 < len(bad) < len(worst)
+        assert len(record) == 1
+        assert f"with {len(bad)} columns" in str(record[0].message)
+        assert f"worst violation {max(bad):.3g}" in str(record[0].message)
+
+    def test_dykstra_silent_when_converged(self):
+        s = np.random.default_rng(28).uniform(-2, 2, (MIXED_PAIRS.dim, 200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project_columns(MIXED_PAIRS, s)
+        assert contains(MIXED_PAIRS, out)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
