@@ -5,8 +5,8 @@ maximizing the log-determinant mutual information between the mixtures and
 the source estimates, subject to every estimate column lying in a known
 polytope. It ships the information-measure kernels, polytope projections,
 the projected-gradient solver, synthetic correlated-source scenario
-generation, ground-truth-aligned evaluation, and an extended-infomax ICA
-baseline for comparison.
+generation, ground-truth-aligned evaluation, and an infomax ICA baseline
+with a fixed sub-Gaussian source model for comparison.
 """
 
 from .config import write_trajectory_csv
@@ -40,10 +40,8 @@ from .ica import (
 )
 from .polytopes import (
     PolytopeSpec,
-    ProjectionReport,
     contains,
     preset,
-    project,
     project_columns,
 )
 from .solver import (
@@ -74,7 +72,6 @@ __all__ = [
     "IcaConfig",
     "IcaDivergenceError",
     "PolytopeSpec",
-    "ProjectionReport",
     "Scenario",
     "ScenarioConfig",
     "SolverConfig",
@@ -99,7 +96,6 @@ __all__ = [
     "mixing_matrix",
     "mse",
     "preset",
-    "project",
     "project_columns",
     "run",
     "sample_covariance",

@@ -1,9 +1,9 @@
-"""Extended-infomax ICA baseline for the separation comparisons.
+"""Infomax ICA baseline for the separation comparisons.
 
-Batch natural-gradient infomax with the sub/super-Gaussian switch: the
-unmixing matrix evolves as ``W += lr * (I - K tanh(u) u^T/N - u u^T/N) W``
-on whitened data, where ``K`` is a +-1 diagonal (-1 entries model
-sub-Gaussian components, the right choice for bounded sources). The learning
+Batch natural-gradient infomax with a fixed sub-Gaussian source model
+(extended infomax with every sign ``K = -I``), the right choice for bounded
+sources: the unmixing matrix evolves as
+``W += lr * (I + tanh(u) u^T/N - u u^T/N) W`` on whitened data. The learning
 rate is halved whenever the model log-likelihood oscillates downward.
 """
 
@@ -27,13 +27,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IcaConfig:
-    """Extended-infomax settings.
+    """Infomax settings.
 
     ``learning_rate`` applies to full-batch sweeps; 0.1 corresponds to the
     usual per-block rates (around 1e-3) once the tens of block updates per
-    data pass are folded into one batch step. ``n_subgauss=None`` means "all
-    components sub-Gaussian" (fixed K = -I); any smaller count switches to
-    the per-sweep kurtosis-based sign update. ``seed`` is carried for
+    data pass are folded into one batch step. ``seed`` is carried for
     harness bookkeeping; the batch iteration itself is deterministic from
     the identity start.
     """
@@ -41,7 +39,6 @@ class IcaConfig:
     learning_rate: float = 0.1
     max_iter: int = 500
     tol: float = 1e-7
-    n_subgauss: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -89,9 +86,9 @@ def whiten(y, r):
 
 
 def ica_infomax(z, cfg):
-    """Natural-gradient extended-infomax unmixing of whitened data.
+    """Natural-gradient infomax unmixing of whitened data.
 
-    Iterates ``W += lr * (I - K tanh(u) u^T/N - u u^T/N) W`` with ``u = W z``
+    Iterates ``W += lr * (I + tanh(u) u^T/N - u u^T/N) W`` with ``u = W z``
     until the Frobenius weight change drops below ``cfg.tol`` or
     ``cfg.max_iter`` sweeps elapse. The source model sets its own output
     scale (its equilibrium variance is not 1), so the returned (r, r)
@@ -99,25 +96,17 @@ def ica_infomax(z, cfg):
     """
     z = np.asarray(z, dtype=float)
     r, n = z.shape
-    n_sub = cfg.n_subgauss if cfg.n_subgauss is not None else r
-    if not 0 <= n_sub <= r:
-        raise ValueError(f"n_subgauss must be in [0, {r}], got {n_sub}")
-    adaptive = n_sub != r
-
     w = np.eye(r)
     lr = cfg.learning_rate
     min_lr = cfg.learning_rate / 1024.0
     eye = np.eye(r)
-    k_signs = -np.ones(r)
     prev_loglik = -math.inf
 
     for _ in range(cfg.max_iter):
         u = w @ z
-        if adaptive:
-            k_signs = _kurtosis_signs(u)
         tu = np.tanh(u)
-        natural_grad = eye - (k_signs[:, None] * tu) @ u.T / n - u @ u.T / n
-        loglik = _model_loglik(w, u, k_signs)
+        natural_grad = eye + tu @ u.T / n - u @ u.T / n
+        loglik = _model_loglik(w, u)
         if loglik < prev_loglik and lr > min_lr:
             lr *= 0.5
         prev_loglik = loglik
@@ -135,24 +124,15 @@ def ica_infomax(z, cfg):
     return w / np.maximum(out_std, np.finfo(float).tiny)[:, None]
 
 
-def _kurtosis_signs(u):
-    """+1 for super-Gaussian rows (positive excess kurtosis), -1 otherwise."""
-    uc = u - u.mean(axis=1, keepdims=True)
-    m2 = np.mean(uc ** 2, axis=1)
-    m4 = np.mean(uc ** 4, axis=1)
-    kurt = m4 / np.maximum(m2 ** 2, np.finfo(float).tiny) - 3.0
-    return np.where(kurt > 0, 1.0, -1.0)
-
-
-def _model_loglik(w, u, k_signs):
-    """Log-likelihood of the extended-infomax source model (up to constants)."""
+def _model_loglik(w, u):
+    """Log-likelihood of the sub-Gaussian source model (up to constants)."""
     sign, logdet = np.linalg.slogdet(w)
     if sign <= 0 and logdet == -math.inf:
         return -math.inf
     # log cosh(u) = |u| + log1p(exp(-2|u|)) - log 2, overflow-safe
     au = np.abs(u)
     logcosh = np.mean(au + np.log1p(np.exp(-2.0 * au)), axis=1) - math.log(2.0)
-    return float(logdet - np.sum(k_signs * logcosh) - 0.5 * np.mean((u ** 2).sum(axis=0)))
+    return float(logdet + np.sum(logcosh) - 0.5 * np.mean((u ** 2).sum(axis=0)))
 
 
 def ica_separate(y, r, cfg):

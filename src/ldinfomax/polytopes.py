@@ -15,7 +15,8 @@ Euclidean projection onto the intersection. Dykstra's loop runs each column
 until that column's own first quiet sweep and then drops it from the working
 set, so a column's result does not depend on the other columns. Columns
 still moving after ``DYKSTRA_MAX_SWEEPS`` are returned as they stand, and
-``project_columns`` warns when any of them is infeasible.
+``project_columns`` warns when any of them is infeasible. A single point is
+projected as a (dim, 1) column.
 """
 
 import warnings
@@ -26,12 +27,10 @@ import numpy as np
 
 __all__ = [
     "PolytopeSpec",
-    "ProjectionReport",
     "PRESET_NAMES",
     "contains",
     "max_violation",
     "preset",
-    "project",
     "project_columns",
 ]
 
@@ -124,33 +123,16 @@ def preset(name, dim):
     raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
-    """Result of a single-point projection.
-
-    ``iterations`` counts Dykstra sweeps (0 when an exact closed form was
-    used); ``residual`` is the largest constraint violation of the output.
-    """
-
-    point: np.ndarray
-    iterations: int
-    residual: float
-
-
-def _check_point(p, v):
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != p.dim:
-        raise ValueError(f"point has {v.shape[0]} coordinates, polytope has {p.dim}")
-    return v
-
-
 def max_violation(p, v):
     """Largest constraint violation of ``v`` (0 when feasible).
 
     Accepts a vector of shape (dim,) or a matrix of shape (dim, N); for a
-    matrix the violation is taken over all columns (0 when N is 0).
+    matrix the violation is taken over all columns (0 when N is 0). Any
+    other shape raises ``ValueError``.
     """
-    v = _check_point(p, v)
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != p.dim:
+        raise ValueError(f"expected shape ({p.dim},) or ({p.dim}, N), got {v.shape}")
     return float(_column_violations(p, v[:, None] if v.ndim == 1 else v).max(initial=0.0))
 
 
@@ -216,26 +198,6 @@ def _l1_ball(v, signed):
     return out
 
 
-def _project_matrix(p, v):
-    """Shared column-parallel projection; v has shape (dim, N).
-
-    Pairwise-disjoint groups (none at all included) separate, so the box
-    clamp and one closed form per group are exact; a group over every
-    coordinate leaves nothing to clamp. Overlapping groups go through
-    Dykstra. Returns the projection, the Dykstra sweeps run and the indices
-    of the columns still moving when the sweeps ran out.
-    """
-    groups = [list(g) for g in p.l1_groups]
-    if len(set().union(*groups)) < sum(map(len, groups)):
-        return _dykstra_columns(p, v, groups)
-    if groups == [list(range(p.dim))]:
-        return _l1_ball(v, p.lower < 0), 0, ()
-    out = _clamp(p, v)
-    for g in groups:
-        out[g] = _l1_ball(v[g], p.lower[g] < 0)
-    return out, 0, ()
-
-
 def _dykstra_columns(p, v, groups):
     """Dykstra's algorithm over the box and each group's l1 cylinder.
 
@@ -247,17 +209,17 @@ def _dykstra_columns(p, v, groups):
     interact, so each one ends exactly where projecting it alone would, and
     a finished column leaves the working set. A group's correction is zero
     off the group's rows, so a group step reads and writes only those rows.
-    Columns still moving after ``DYKSTRA_MAX_SWEEPS`` are returned as they
-    stand; ``project_columns`` warns when they are infeasible.
+    Returns the projection and the indices of the columns still moving after
+    ``DYKSTRA_MAX_SWEEPS``, which are returned as they stand.
     """
     out = np.empty_like(v)
     active = np.arange(v.shape[1])
     x = v  # every step below makes a new array before writing in place
     box = np.zeros_like(v)
     corrections = [np.zeros((len(g), v.shape[1])) for g in groups]
-    sweeps = 0
-    while active.size and sweeps < DYKSTRA_MAX_SWEEPS:
-        sweeps += 1
+    for _ in range(DYKSTRA_MAX_SWEEPS):
+        if not active.size:
+            break
         w = x + box
         y = _clamp(p, w)
         box = w - y
@@ -277,39 +239,31 @@ def _dykstra_columns(p, v, groups):
             active, x, box = active[keep], x[:, keep], box[:, keep]
             corrections = [c[:, keep] for c in corrections]
     out[:, active] = x
-    # the full-column form adds each group's zero correction to the rows
-    # outside it, turning -0.0 into 0.0 there; doing so for the last group
-    # gives every zero the sign that form gives it
-    out[[i for i in range(p.dim) if i not in groups[-1]]] += 0.0
-    return out, sweeps, active
-
-
-def project(p, v):
-    """Euclidean projection of a single point onto the polytope.
-
-    Returns a :class:`ProjectionReport`; non-convergence of the Dykstra loop
-    is reported through the residual rather than raised, so the caller can
-    decide whether the result is acceptable.
-    """
-    v = _check_point(p, v)
-    if v.ndim != 1:
-        raise ValueError("project expects a single point; use project_columns")
-    out, sweeps, _ = _project_matrix(p, v[:, None])
-    out = out[:, 0]
-    return ProjectionReport(out, sweeps, max_violation(p, out))
+    return out, active
 
 
 def project_columns(p, s):
     """Project every column of ``s`` onto the polytope independently.
 
-    Issues one ``RuntimeWarning`` when Dykstra's loop leaves columns still
-    moving after ``DYKSTRA_MAX_SWEEPS`` that violate the polytope by more
-    than ``FEASIBILITY_TOL``; those columns are returned as they stand.
+    Pairwise-disjoint groups (none at all included) separate, so the box
+    clamp and one closed form per group are exact; a group over every
+    coordinate leaves nothing to clamp. Overlapping groups go through
+    Dykstra, and one ``RuntimeWarning`` is issued when it leaves columns
+    still moving after ``DYKSTRA_MAX_SWEEPS`` that violate the polytope by
+    more than ``FEASIBILITY_TOL``; those columns are returned as they stand.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != p.dim:
         raise ValueError(f"expected shape ({p.dim}, N), got {s.shape}")
-    out, _, moving = _project_matrix(p, s)
+    groups = [list(g) for g in p.l1_groups]
+    if len(set().union(*groups)) == sum(map(len, groups)):
+        if groups == [list(range(p.dim))]:
+            return _l1_ball(s, p.lower < 0)
+        out = _clamp(p, s)
+        for g in groups:
+            out[g] = _l1_ball(s[g], p.lower[g] < 0)
+        return out
+    out, moving = _dykstra_columns(p, s, groups)
     if len(moving):
         worst = _column_violations(p, out[:, moving])
         worst = worst[worst > FEASIBILITY_TOL]

@@ -29,7 +29,7 @@ from ldinfomax import (
 from ldinfomax.cli import main
 from ldinfomax.config import ExperimentConfig, save_experiment
 from ldinfomax.evaluation import best_alignment
-from ldinfomax.polytopes import PolytopeSpec, contains, project
+from ldinfomax.polytopes import PolytopeSpec, contains, project_columns
 from ldinfomax.stats import CovarianceBundle, conditional_error_covariance, logdet_regularized
 from oracles import QpProjectionOracle, exhaustive_alignment_mse, finite_difference_gradient
 
@@ -121,12 +121,12 @@ def test_criterion_3_projection_exactness():
         oracle = QpProjectionOracle(p)
         for _ in range(50):
             v = rng.uniform(-2.0, 2.0, p.dim)
-            got = project(p, v).point
+            got = project_columns(p, v[:, None])[:, 0]
             worst_gap = max(worst_gap, float(np.abs(got - oracle.project(v)).max()))
-            again = project(p, got).point
+            again = project_columns(p, got[:, None])[:, 0]
             worst_idem = max(worst_idem, float(np.abs(again - got).max()))
             u = rng.uniform(-2.0, 2.0, p.dim)
-            du = project(p, u).point
+            du = project_columns(p, u[:, None])[:, 0]
             expansion = np.linalg.norm(du - got) - np.linalg.norm(u - v)
             worst_exp = max(worst_exp, float(expansion))
             assert contains(p, got, tol=1e-8)

@@ -43,7 +43,6 @@ solver.seed = 7
 ica.learning_rate = 0.1
 ica.max_iter = 500
 ica.tol = 1e-07
-ica.n_subgauss = 2
 ica.seed = 7
 experiment.algo = both
 experiment.trials = 3
@@ -108,7 +107,7 @@ class TestConfigRoundtrip:
                 polytope=PolytopeSpec(3, ("signed", "signed", "nonneg"), ((0, 1), (1, 2))),
             ),
             solver=SolverConfig(iterations=80, record_every=40, mu0=20.0, seed=7),
-            ica=IcaConfig(n_subgauss=2, seed=7),
+            ica=IcaConfig(seed=7),
             algo="both", trials=3, rho_grid=(0.0, 0.125), output_dir="res",
         )
         path = tmp_path / "exp.cfg"
@@ -129,8 +128,11 @@ class TestConfigRoundtrip:
         path.write_text("solver.iteration = 5\n")
         with pytest.raises(ValueError, match="solver.iteration"):
             load_experiment(path)
-        # sidecars written while the step rule and the start were settable
-        for key, value in (("solver.schedule", "inverse_sqrt"), ("solver.init", "random")):
+        # sidecars written while the step rule, the start and the ICA source
+        # model were settable
+        for key, value in (
+            ("solver.schedule", "inverse_sqrt"), ("solver.init", "random"), ("ica.n_subgauss", "2"),
+        ):
             path.write_text(f"{SIDECAR_TEXT}{key} = {value}\n")
             with pytest.raises(ValueError, match=key):
                 load_experiment(path)

@@ -80,12 +80,6 @@ class TestIcaInfomax:
         with pytest.raises(IcaDivergenceError):
             ica_infomax(z, IcaConfig(learning_rate=1e6, max_iter=50))
 
-    def test_adaptive_switch_runs(self):
-        s = unit_uniform_sources(3, 2000, seed=8)
-        z, _ = whiten(s, 3)
-        w = ica_infomax(z, IcaConfig(n_subgauss=1, max_iter=100))
-        assert np.all(np.isfinite(w))
-
 
 class TestIcaSeparate:
     def test_composition_consistency(self):

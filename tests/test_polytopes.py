@@ -10,7 +10,6 @@ from ldinfomax.polytopes import (
     contains,
     max_violation,
     preset,
-    project,
     project_columns,
 )
 from oracles import QpProjectionOracle
@@ -20,6 +19,19 @@ def mixed_sparsity_example():
     """Signed first two coordinates, nonnegative third, overlapping unit-l1
     pairs (1,2) and (2,3)."""
     return PolytopeSpec(3, ("signed", "signed", "nonneg"), ((0, 1), (1, 2)))
+
+
+def project(p, v):
+    """Project a single point as a (dim, 1) column."""
+    return project_columns(p, np.asarray(v, dtype=float)[:, None])[:, 0]
+
+
+@pytest.fixture
+def no_dykstra(monkeypatch):
+    """Fail any projection that reaches Dykstra's loop."""
+    def fail(*args):
+        raise AssertionError("Dykstra's loop was reached")
+    monkeypatch.setattr(polytopes, "_dykstra_columns", fail)
 
 
 # closed form: disjoint groups, and one group over signed and nonnegative coordinates
@@ -97,19 +109,30 @@ class TestContains:
         with pytest.raises(ValueError):
             contains(preset("linf", 3), np.array([0.0, 0.0]))
 
+    def test_shape_other_than_vector_or_matrix_rejected(self):
+        p = PolytopeSpec(2, ("signed", "nonneg"))
+        # a feasible (2, 2, 1) stack would broadcast the bounds along the wrong axis
+        stack = np.array([[[-0.5], [-0.5]], [[0.2], [0.3]]])
+        assert max_violation(p, stack[:, :, 0]) == 0.0
+        for bad in (np.array(0.5), stack):
+            with pytest.raises(ValueError, match="expected shape"):
+                max_violation(p, bad)
+            with pytest.raises(ValueError, match="expected shape"):
+                contains(p, bad)
+
 
 class TestProjectBox:
     def test_signed_clamp(self):
-        out = project(preset("linf", 2), np.array([2.0, -3.0])).point
+        out = project(preset("linf", 2), np.array([2.0, -3.0]))
         assert np.array_equal(out, [1.0, -1.0])
 
     def test_nonneg_clamp(self):
-        out = project(preset("linf_nonneg", 2), np.array([-0.5, 0.3])).point
+        out = project(preset("linf_nonneg", 2), np.array([-0.5, 0.3]))
         assert np.array_equal(out, [0.0, 0.3])
 
     def test_interior_unchanged(self):
         v = np.array([0.2, -0.4])
-        assert np.array_equal(project(preset("linf", 2), v).point, v)
+        assert np.array_equal(project(preset("linf", 2), v), v)
 
     def test_matrix_columns(self):
         v = np.array([[2.0, 0.5], [-3.0, 0.1]])
@@ -119,43 +142,42 @@ class TestProjectBox:
 
 class TestProjectL1Group:
     def test_symmetric_face_split(self):
-        out = project(preset("l1", 2), np.array([1.0, 1.0])).point
+        out = project(preset("l1", 2), np.array([1.0, 1.0]))
         assert np.allclose(out, [0.5, 0.5])
 
     def test_feasible_unchanged(self):
         v = np.array([0.3, -0.2])
-        assert np.array_equal(project(preset("l1", 2), v).point, v)
+        assert np.array_equal(project(preset("l1", 2), v), v)
 
     def test_matches_qp_oracle(self):
         oracle = QpProjectionOracle(preset("l1", 4))
         rng = np.random.default_rng(20)
         for _ in range(25):
             v = rng.uniform(-2, 2, 4)
-            assert np.allclose(project(preset("l1", 4), v).point, oracle.project(v), atol=1e-8)
+            assert np.allclose(project(preset("l1", 4), v), oracle.project(v), atol=1e-8)
 
     @pytest.mark.parametrize("p", [DISJOINT_GROUPS, MIXED_TAG_GROUP])
-    def test_closed_form_matches_qp_oracle(self, p):
+    def test_closed_form_matches_qp_oracle(self, p, no_dykstra):
         # disjoint groups and a group mixing domain tags need no Dykstra sweeps
         oracle = QpProjectionOracle(p)
         rng = np.random.default_rng(26)
         for _ in range(25):
             v = rng.uniform(-2, 2, p.dim)
-            rep = project(p, v)
-            assert rep.iterations == 0
-            assert np.abs(rep.point - oracle.project(v)).max() <= 1e-12
+            assert np.abs(project(p, v) - oracle.project(v)).max() <= 1e-12
+        with pytest.raises(AssertionError, match="Dykstra"):
+            project(MIXED_PAIRS, rng.uniform(-2, 2, MIXED_PAIRS.dim))
 
 
 class TestProject:
-    def test_box_only_is_clamp(self):
+    def test_box_only_is_clamp(self, no_dykstra):
         p = preset("linf", 3)
-        rep = project(p, np.array([5.0, -0.2, -9.0]))
-        assert np.allclose(rep.point, [1.0, -0.2, -1.0])
-        assert rep.iterations == 0
-        assert rep.residual <= 1e-9
+        out = project(p, np.array([5.0, -0.2, -9.0]))
+        assert np.array_equal(out, [1.0, -0.2, -1.0])
+        assert max_violation(p, out) == 0.0
 
     def test_nonneg_simplex_symmetry(self):
-        rep = project(preset("l1_nonneg", 3), np.array([1.0, 1.0, 1.0]))
-        assert np.allclose(rep.point, np.full(3, 1.0 / 3.0), atol=1e-12)
+        out = project(preset("l1_nonneg", 3), np.array([1.0, 1.0, 1.0]))
+        assert np.allclose(out, np.full(3, 1.0 / 3.0), atol=1e-12)
 
     def test_mixed_example_matches_qp_oracle(self):
         p = mixed_sparsity_example()
@@ -163,12 +185,7 @@ class TestProject:
         rng = np.random.default_rng(21)
         for _ in range(25):
             v = rng.uniform(-2, 2, 3)
-            rep = project(p, v)
-            assert np.allclose(rep.point, oracle.project(v), atol=1e-6)
-
-    def test_single_point_only(self):
-        with pytest.raises(ValueError):
-            project(preset("linf", 2), np.zeros((2, 3)))
+            assert np.allclose(project(p, v), oracle.project(v), atol=1e-6)
 
 
 class TestProjectColumns:
@@ -190,7 +207,7 @@ class TestProjectColumns:
         s = rng.uniform(-2, 2, (p.dim, 30))
         out = project_columns(p, s)
         for j in range(s.shape[1]):
-            assert np.array_equal(out[:, j], project(p, s[:, j]).point)
+            assert np.array_equal(out[:, j], project_columns(p, s[:, j:j + 1])[:, 0])
 
     @pytest.mark.parametrize("name,p", ALL_PRESETS)
     def test_zero_columns(self, name, p):
@@ -213,6 +230,13 @@ class TestProjectColumns:
         assert len(record) == 1
         assert f"with {len(bad)} columns" in str(record[0].message)
         assert f"worst violation {max(bad):.3g}" in str(record[0].message)
+        # a single point is a one-column matrix, so it warns the same way
+        j = int(np.argmax(worst))
+        with pytest.warns(RuntimeWarning, match="with 1 columns") as record:
+            point = project_columns(MIXED_PAIRS, s[:, j:j + 1])
+        assert np.array_equal(point[:, 0], out[:, j])
+        assert len(record) == 1
+        assert f"worst violation {worst[j]:.3g}" in str(record[0].message)
 
     def test_dykstra_silent_when_converged(self):
         s = np.random.default_rng(28).uniform(-2, 2, (MIXED_PAIRS.dim, 200))
@@ -231,16 +255,15 @@ class TestProjectionProperties:
     def test_idempotence(self, name, p):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            first = project(p, rng.uniform(-2, 2, p.dim)).point
-            second = project(p, first).point
+            first = project(p, rng.uniform(-2, 2, p.dim))
+            second = project(p, first)
             assert np.allclose(second, first, atol=1e-9)
 
     @pytest.mark.parametrize("name,p", ALL_PRESETS)
     def test_feasibility(self, name, p):
         rng = np.random.default_rng(24)
         for _ in range(10):
-            rep = project(p, rng.uniform(-3, 3, p.dim))
-            assert contains(p, rep.point, tol=1e-8)
+            assert contains(p, project(p, rng.uniform(-3, 3, p.dim)), tol=1e-8)
 
     @pytest.mark.parametrize("name,p", ALL_PRESETS)
     def test_nonexpansiveness(self, name, p):
@@ -248,15 +271,15 @@ class TestProjectionProperties:
         for _ in range(10):
             u = rng.uniform(-2, 2, p.dim)
             v = rng.uniform(-2, 2, p.dim)
-            du = project(p, u).point
-            dv = project(p, v).point
+            du = project(p, u)
+            dv = project(p, v)
             assert np.linalg.norm(du - dv) <= np.linalg.norm(u - v) + 1e-9
 
     def test_nonneg_l1_equals_capped_simplex(self):
         # violating only the sum constraint: classic nonneg + sum <= 1 projection
         p = preset("l1_nonneg", 3)
         v = np.array([0.5, 0.6, 0.2])
-        out = project(p, v).point
+        out = project(p, v)
         # the constraint is active, so the projection lies on the simplex face
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(out >= 0)

@@ -13,14 +13,14 @@ from ldinfomax.config import ExperimentConfig
 
 PUBLIC_NAMES = [
     "Alignment", "CovarianceBundle", "DivergenceError", "EvaluationReport",
-    "IcaConfig", "IcaDivergenceError", "PolytopeSpec", "ProjectionReport",
-    "Scenario", "ScenarioConfig", "SolverConfig", "SolverState",
-    "TrajectoryPoint", "add_noise", "affine_match_to_reference", "aggregate",
+    "IcaConfig", "IcaDivergenceError", "PolytopeSpec", "Scenario",
+    "ScenarioConfig", "SolverConfig", "SolverState", "TrajectoryPoint",
+    "add_noise", "affine_match_to_reference", "aggregate",
     "best_alignment", "conditional_error_covariance", "contains",
     "copula_t_uniforms", "cross_covariance", "evaluate", "gradient",
     "ica_infomax", "ica_separate", "initialize", "ld_entropy",
     "ld_mutual_information", "make_scenario", "mixing_matrix", "mse", "preset",
-    "project", "project_columns", "run", "sample_covariance", "save_scenario",
+    "project_columns", "run", "sample_covariance", "save_scenario",
     "sinr_db", "sources_in_polytope", "toeplitz_correlation", "whiten",
     "write_trajectory_csv",
 ]
@@ -30,7 +30,7 @@ CONFIG_FIELDS = [
         "r", "m", "n", "rho", "dof", "snr_db", "polytope", "source_mode", "l1_mode", "seed",
     ]),
     (ldinfomax.SolverConfig, ["epsilon", "mu0", "iterations", "record_every", "seed"]),
-    (ldinfomax.IcaConfig, ["learning_rate", "max_iter", "tol", "n_subgauss", "seed"]),
+    (ldinfomax.IcaConfig, ["learning_rate", "max_iter", "tol", "seed"]),
     (ExperimentConfig, [
         "scenario", "solver", "ica", "algo", "trials", "rho_grid", "output_dir",
     ]),
