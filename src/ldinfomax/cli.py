@@ -61,40 +61,78 @@ def cmd_gen(cfg, out_dir):
     return 0
 
 
-def _trial(cfg, trial, rho, algos):
-    """Run trial ``trial`` at correlation ``rho`` with each algorithm in ``algos``.
+# the LD trials of a chunk run as one stacked solver.run call; a chunk holds
+# as many trials as keep the stacked (T, r+M, N) float64 buffer within this
+# size (T=10 at r=5, M=8, N=2,000), which keeps it in cache
+STACK_BYTES = 2 * 1024 * 1024
 
-    Scenario, solver and ICA are seeded with the master seed + ``trial``.
-    Returns ``(seed, results)``: ``results`` maps each algorithm to
-    ``(curve, final_sinr, objective)`` or to the exception that failed it. A
-    scenario that fails to generate fails every algorithm.
+
+def _trials(cfg, rho, algos):
+    """Run every trial at correlation ``rho`` with each algorithm in ``algos``.
+
+    Trial ``t`` seeds its scenario, solver and ICA with the master seed + ``t``.
+    The trials go in chunks sized by :data:`STACK_BYTES`: first the chunk's
+    scenarios, then all of its LD trials in one stacked :func:`solver.run`,
+    then ICA trial by trial. Yields ``(trial, seed, results)`` in trial
+    order; ``results`` maps each algorithm to ``(curve, final_sinr,
+    objective)`` or to the exception that failed it. A scenario that fails to
+    generate fails every algorithm.
     """
-    seed = cfg.scenario.seed + trial
-    try:
-        scenario_cfg = replace(cfg.scenario, seed=seed, rho=rho)
-        scenario = make_scenario(scenario_cfg)
-    except Exception as exc:  # a failed trial is recorded, not fatal
-        return seed, {algo: exc for algo in algos}
-    results = {}
-    for algo in algos:
-        try:
+    sc = cfg.scenario
+    chunk = max(1, STACK_BYTES // ((sc.r + sc.m) * sc.n * 8))
+    for first in range(0, cfg.trials, chunk):
+        trials = range(first, min(first + chunk, cfg.trials))
+        seeds = [sc.seed + trial for trial in trials]
+        scenarios, results = [], []
+        for seed in seeds:
+            try:
+                scenarios.append(make_scenario(replace(sc, seed=seed, rho=rho)))
+                results.append({})
+            except Exception as exc:  # a failed trial is recorded, not fatal
+                scenarios.append(None)
+                results.append(dict.fromkeys(algos, exc))
+        ok = [i for i, scenario in enumerate(scenarios) if scenario is not None]
+        for algo in algos:
             if algo == "ld_infomax":
-                state = solver.run(
-                    scenario.y, scenario_cfg.polytope, replace(cfg.solver, seed=seed),
-                    ground_truth=scenario.s_true,
-                )
-                curve = [(pt.iteration, pt.sinr_db) for pt in state.trajectory]
-                results[algo] = (curve, curve[-1][1], state.objective)
+                done = _ld_trials(cfg, [scenarios[i] for i in ok], [seeds[i] for i in ok])
             else:
-                # the per-row affine fit against the truth mirrors the error-minimizing
-                # diagonal of the evaluation convention; the LD solver gets no such aid
-                s_est = ica.ica_separate(scenario.y, scenario_cfg.r, replace(cfg.ica, seed=seed))
-                s_est = ica.affine_match_to_reference(s_est, scenario.s_true)
-                final_sinr = evaluation.sinr_db(s_est, scenario.s_true)
-                results[algo] = ([(cfg.ica.max_iter, final_sinr)], final_sinr, float("nan"))
-        except Exception as exc:
-            results[algo] = exc
-    return seed, results
+                done = [_ica_trial(cfg, scenarios[i], seeds[i]) for i in ok]
+            for i, result in zip(ok, done):
+                results[i][algo] = result
+        yield from zip(trials, seeds, results)
+
+
+def _ld_trials(cfg, scenarios, seeds):
+    """Solve the LD trials of ``scenarios`` as one stack; return each one's result."""
+    try:
+        states = solver.run(
+            [scenario.y for scenario in scenarios], cfg.scenario.polytope,
+            [replace(cfg.solver, seed=seed) for seed in seeds],
+            ground_truth=[scenario.s_true for scenario in scenarios],
+        )
+    except Exception as exc:  # a failure of the whole stack fails each of its trials
+        return [exc] * len(scenarios)
+    results = []
+    for state in states:
+        if isinstance(state, Exception):
+            results.append(state)
+        else:
+            curve = [(pt.iteration, pt.sinr_db) for pt in state.trajectory]
+            results.append((curve, curve[-1][1], state.objective))
+    return results
+
+
+def _ica_trial(cfg, scenario, seed):
+    """Run one ICA trial; return its result or the exception that failed it."""
+    try:
+        # the per-row affine fit against the truth mirrors the error-minimizing
+        # diagonal of the evaluation convention; the LD solver gets no such aid
+        s_est = ica.ica_separate(scenario.y, cfg.scenario.r, replace(cfg.ica, seed=seed))
+        s_est = ica.affine_match_to_reference(s_est, scenario.s_true)
+        final_sinr = evaluation.sinr_db(s_est, scenario.s_true)
+        return [(cfg.ica.max_iter, final_sinr)], final_sinr, float("nan")
+    except Exception as exc:
+        return exc
 
 
 def cmd_run(cfg, out_dir):
@@ -107,8 +145,7 @@ def cmd_run(cfg, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves, finals = [], []
-    for trial in range(cfg.trials):
-        seed, results = _trial(cfg, trial, cfg.scenario.rho, (cfg.algo,))
+    for trial, seed, results in _trials(cfg, cfg.scenario.rho, (cfg.algo,)):
         result = results[cfg.algo]
         if isinstance(result, Exception):
             finals.append((trial, seed, f"failed: {result}", "", ""))
@@ -156,8 +193,7 @@ def cmd_sweep(cfg, out_dir):
     rows, missing = [], []
     for rho in cfg.rho_grid:
         per_algo = {algo: [] for algo in algos}
-        for trial in range(cfg.trials):
-            _, results = _trial(cfg, trial, rho, algos)
+        for trial, _, results in _trials(cfg, rho, algos):
             for algo, result in results.items():
                 if isinstance(result, Exception):
                     print(

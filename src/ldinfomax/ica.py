@@ -3,8 +3,9 @@
 Batch natural-gradient infomax with a fixed sub-Gaussian source model
 (extended infomax with every sign ``K = -I``), the right choice for bounded
 sources: the unmixing matrix evolves as
-``W += lr * (I + tanh(u) u^T/N - u u^T/N) W`` on whitened data. The learning
-rate is halved whenever the model log-likelihood oscillates downward.
+``W += lr * (I + tanh(u) u^T/N - W W^T) W`` on whitened data, where
+``W W^T = u u^T/N``. The learning rate is halved whenever the model
+log-likelihood oscillates downward.
 """
 
 import math
@@ -88,11 +89,16 @@ def whiten(y, r):
 def ica_infomax(z, cfg):
     """Natural-gradient infomax unmixing of whitened data.
 
-    Iterates ``W += lr * (I + tanh(u) u^T/N - u u^T/N) W`` with ``u = W z``
-    until the Frobenius weight change drops below ``cfg.tol`` or
-    ``cfg.max_iter`` sweeps elapse. The source model sets its own output
-    scale (its equilibrium variance is not 1), so the returned (r, r)
-    unmixing matrix is row-normalized to give unit-variance outputs on ``z``.
+    ``z`` must be whitened as :func:`whiten` returns it: zero-mean rows with
+    ``z zᵀ/N = I``. The loop relies on that identity: with ``u = W z``,
+    ``u uᵀ/N = W Wᵀ`` and the quadratic term of the log-likelihood is
+    ``½‖W‖²_F``, so neither takes a pass over the samples.
+
+    Iterates ``W += lr * (I + tanh(u) u^T/N - W W^T) W`` until the Frobenius
+    weight change drops below ``cfg.tol`` or ``cfg.max_iter`` sweeps elapse.
+    The source model sets its own output scale (its equilibrium variance is
+    not 1), so the returned (r, r) unmixing matrix is row-normalized to give
+    unit-variance outputs on ``z``.
     """
     z = np.asarray(z, dtype=float)
     r, n = z.shape
@@ -101,12 +107,13 @@ def ica_infomax(z, cfg):
     min_lr = cfg.learning_rate / 1024.0
     eye = np.eye(r)
     prev_loglik = -math.inf
+    u, tu, work = np.empty((r, n)), np.empty((r, n)), np.empty((2, r, n))
 
     for _ in range(cfg.max_iter):
-        u = w @ z
-        tu = np.tanh(u)
-        natural_grad = eye + tu @ u.T / n - u @ u.T / n
-        loglik = _model_loglik(w, u)
+        np.matmul(w, z, out=u)
+        np.tanh(u, out=tu)
+        natural_grad = eye + tu @ u.T / n - w @ w.T
+        loglik = _model_loglik(w, u, work)
         if loglik < prev_loglik and lr > min_lr:
             lr *= 0.5
         prev_loglik = loglik
@@ -124,15 +131,23 @@ def ica_infomax(z, cfg):
     return w / np.maximum(out_std, np.finfo(float).tiny)[:, None]
 
 
-def _model_loglik(w, u):
-    """Log-likelihood of the sub-Gaussian source model (up to constants)."""
+def _model_loglik(w, u, work):
+    """Log-likelihood of the sub-Gaussian source model (up to constants).
+
+    ``u = W z`` for whitened ``z``; ``work`` is a (2, r, N) scratch buffer.
+    """
     sign, logdet = np.linalg.slogdet(w)
     if sign <= 0 and logdet == -math.inf:
         return -math.inf
     # log cosh(u) = |u| + log1p(exp(-2|u|)) - log 2, overflow-safe
-    au = np.abs(u)
-    logcosh = np.mean(au + np.log1p(np.exp(-2.0 * au)), axis=1) - math.log(2.0)
-    return float(logdet + np.sum(logcosh) - 0.5 * np.mean((u ** 2).sum(axis=0)))
+    au, logcosh = np.abs(u, out=work[0]), work[1]
+    np.multiply(au, -2.0, out=logcosh)
+    np.exp(logcosh, out=logcosh)
+    np.log1p(logcosh, out=logcosh)
+    logcosh += au
+    return float(
+        logdet + np.sum(logcosh.mean(axis=1) - math.log(2.0)) - 0.5 * np.sum(w * w)
+    )
 
 
 def ica_separate(y, r, cfg):

@@ -12,6 +12,8 @@ mixtures. The solver calls that kernel directly, without the validation,
 so its objective is :func:`ld_mutual_information` bit for bit.
 """
 
+import copy
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +48,7 @@ def _as_samples(x, name="x"):
 
 
 def _symmetrize(a):
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 def _check_symmetric(a, name):
@@ -86,6 +88,9 @@ def _covariance(xc):
 def _cholesky(a, epsilon, names):
     """Lower Cholesky factor of symmetric ``a + epsilon*I``, or of each of a stack.
 
+    The matrices of a stack take their names from ``names`` in turn, so a
+    ``(T, 2, r, r)`` stack of pairs is named by a pair of names.
+
     Raises
     ------
     numpy.linalg.LinAlgError
@@ -95,8 +100,8 @@ def _cholesky(a, epsilon, names):
     try:
         return np.linalg.cholesky(a + epsilon * np.eye(a.shape[-1]))
     except np.linalg.LinAlgError as exc:
-        if a.ndim == 3:  # the stack fails as a whole; name its first failing matrix
-            for one, name in zip(a, names):
+        if a.ndim > 2:  # the stack fails as a whole; name its first failing matrix
+            for one, name in zip(a.reshape(-1, *a.shape[-2:]), itertools.cycle(names)):
                 _cholesky(one, epsilon, name)
         msg = f"{names} + {epsilon}*I is not positive definite: {exc}"
         raise np.linalg.LinAlgError(msg) from exc
@@ -109,7 +114,7 @@ def _half_logdet(chol):
 
 def _error_covariance(r_s, r_sw):
     """``R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ``, symmetrized, from ``r_sw = R_sy L⁻ᵀ``."""
-    return _symmetrize(r_s - r_sw @ r_sw.T)
+    return _symmetrize(r_s - r_sw @ r_sw.mT)
 
 
 class _RunContext:
@@ -117,6 +122,8 @@ class _RunContext:
 
     ``W = L⁻¹Y_c`` whitens the centered mixtures by the lower Cholesky factor ``L``
     of ``R_y + eps*I``, so that ``R_sy (R_y + eps*I)^{-1} Y_c = (S_c Wᵀ/N) W``.
+    A context of one trial holds an (r+M, N) buffer; :meth:`stack` joins the
+    buffers of several trials into one (T, r+M, N) buffer.
     """
 
     def __init__(self, y, epsilon, r):
@@ -128,23 +135,40 @@ class _RunContext:
         self.z = np.empty((r + yc.shape[0], self.n))
         self.z[r:] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
 
+    @staticmethod
+    def stack(contexts):
+        """One context over the trials of ``contexts``, which share N, M and epsilon."""
+        ctx = copy.copy(contexts[0])
+        ctx.z = np.stack([c.z for c in contexts])
+        return ctx
+
+    def select(self, trials):
+        """The context of the listed trials of a stacked context."""
+        ctx = copy.copy(self)
+        ctx.z = self.z[trials]
+        return ctx
+
 
 class _Stats:
     """LD-mutual information ``objective`` of sources ``s`` and the mixtures of ``ctx``.
 
-    Centers ``s`` into ``ctx.z[:r]``, so one product gives ``[R_s | R_sy L⁻ᵀ]``
+    Centers ``s`` into ``ctx.z[..., :r, :]``, so one product gives ``[R_s | R_sy L⁻ᵀ]``
     and one batched Cholesky the factors of the shifted ``R_s`` and ``R_e``.
+    On a stacked context ``s`` is (T, r, N) and ``objective`` holds one value
+    per trial; every product and factorization runs per trial, so each value
+    is the one its trial gives alone.
     The gradient reads ``ctx.z``: it holds until the next ``_Stats`` on ``ctx``.
     """
 
     def __init__(self, s, ctx):
-        r, z = s.shape[0], ctx.z
-        np.subtract(s, s.mean(axis=1, keepdims=True), out=z[:r])
-        r_s_sw = z[:r] @ z.T / ctx.n
-        r_s, self.r_sw = _symmetrize(r_s_sw[:, :r]), r_s_sw[:, r:]
-        pair = np.stack((r_s, _error_covariance(r_s, self.r_sw)))
+        r, z = s.shape[-2], ctx.z
+        np.subtract(s, s.mean(axis=-1, keepdims=True), out=z[..., :r, :])
+        r_s_sw = z[..., :r, :] @ z.mT / ctx.n
+        r_s, self.r_sw = _symmetrize(r_s_sw[..., :r]), r_s_sw[..., r:]
+        pair = np.stack((r_s, _error_covariance(r_s, self.r_sw)), axis=-3)
         self.chol = _cholesky(pair, ctx.epsilon, ("R_s", "R_e"))
-        self.objective = float(np.subtract(*_half_logdet(self.chol)))
+        half = _half_logdet(self.chol)
+        self.objective = half[..., 0] - half[..., 1]
 
     def gradient(self, ctx, scale):
         """``scale`` times the gradient, the r x (r+M) map ``C`` applied to ``ctx.z``.
@@ -152,8 +176,9 @@ class _Stats:
         ``C = [A - B | B R_sy L⁻ᵀ] / N``, ``A = (R_s+eps I)^{-1}``, ``B = (R_e+eps I)^{-1}``.
         """
         inv = np.linalg.inv(self.chol)
-        a, b = np.swapaxes(inv, 1, 2) @ inv
-        return (scale / ctx.n * np.hstack((a - b, b @ self.r_sw))) @ ctx.z
+        ab = inv.mT @ inv
+        a, b = ab[..., 0, :, :], ab[..., 1, :, :]
+        return (scale / ctx.n * np.concatenate((a - b, b @ self.r_sw), axis=-1)) @ ctx.z
 
 
 # ---------------------------------------------------------------------------
@@ -286,4 +311,4 @@ def ld_mutual_information(s, y, epsilon):
     """
     s, y = _as_pair(s, y)
     _check_epsilon(epsilon)
-    return _Stats(s, _RunContext(y, epsilon, s.shape[0])).objective
+    return float(_Stats(s, _RunContext(y, epsilon, s.shape[0])).objective)

@@ -229,3 +229,35 @@ def two_solve_gradient(s, y, epsilon):
     resid = sc - r_sy @ cho_solve(cho_y, yc)
     eye = epsilon * np.eye(s.shape[0])
     return (cho_solve(cho_factor(r_s + eye), sc) - cho_solve(cho_factor(r_e + eye), resid)) / n
+
+
+def sample_pass_infomax(z, cfg):
+    """Infomax unmixing that forms ``u uᵀ/N`` and ``mean(sum(u²))`` from the samples.
+
+    The loop of :func:`ldinfomax.ica.ica_infomax` without the whitened-input
+    identities: its natural gradient is ``I + tanh(u) uᵀ/N - u uᵀ/N`` and its
+    log-likelihood subtracts half the mean squared output norm. Returns the
+    row-normalized unmixing matrix and the final learning rate.
+    """
+    z = np.asarray(z, dtype=float)
+    r, n = z.shape
+    w, eye = np.eye(r), np.eye(r)
+    lr, min_lr = cfg.learning_rate, cfg.learning_rate / 1024.0
+    prev_loglik = -math.inf
+    for _ in range(cfg.max_iter):
+        u = w @ z
+        natural_grad = eye + np.tanh(u) @ u.T / n - u @ u.T / n
+        sign, logdet = np.linalg.slogdet(w)
+        loglik = -math.inf
+        if sign > 0 or logdet != -math.inf:
+            au = np.abs(u)
+            logcosh = np.mean(au + np.log1p(np.exp(-2.0 * au)), axis=1) - math.log(2.0)
+            loglik = float(logdet + np.sum(logcosh) - 0.5 * np.mean((u ** 2).sum(axis=0)))
+        if loglik < prev_loglik and lr > min_lr:
+            lr *= 0.5
+        prev_loglik = loglik
+        delta = lr * natural_grad @ w
+        w = w + delta
+        if np.linalg.norm(delta) < cfg.tol:
+            break
+    return w / (w @ z).std(axis=1)[:, None], lr

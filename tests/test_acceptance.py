@@ -201,18 +201,24 @@ def test_criterion_6_convergence_curve_analog():
     t0 = time.time()
     iterations, record_every = 20000, 2000
     curves, finals = [], []
+    scenarios, cfgs = [], []
     for trial in range(10):
         seed = MASTER_SEED + trial
         sc_cfg = ScenarioConfig(
             r=5, m=8, n=2000, rho=0.5, dof=4, snr_db=30.0,
             polytope=preset("linf_nonneg", 5), seed=seed,
         )
-        scenario = make_scenario(sc_cfg)
-        cfg = SolverConfig(
+        scenarios.append(make_scenario(sc_cfg))
+        cfgs.append(SolverConfig(
             epsilon=1e-5, mu0=200.0,
             iterations=iterations, record_every=record_every, seed=seed,
-        )
-        state = run(scenario.y, sc_cfg.polytope, cfg, ground_truth=scenario.s_true)
+        ))
+    # the ten trials run as one stack; each ends exactly where its single solve ends
+    states = run(
+        [sc.y for sc in scenarios], sc_cfg.polytope, cfgs,
+        ground_truth=[sc.s_true for sc in scenarios],
+    )
+    for scenario, state in zip(scenarios, states):
         curves.append([(pt.iteration, pt.sinr_db) for pt in state.trajectory])
         finals.append(sinr_db(state.estimate, scenario.s_true))
     mean_curve = np.mean([[v for _, v in c] for c in curves], axis=0)

@@ -297,13 +297,14 @@ class TestSweep:
         save_experiment(small_experiment(seed=8, rho_grid=(0.0,), trials=2), cfg_path)
         real = solver.run
 
-        def exact_on_trial_0(y, p, cfg, ground_truth=None):
-            state = real(y, p, cfg, ground_truth)
-            if cfg.seed == 8:
-                last = state.trajectory[-1]
-                state.trajectory[-1] = solver.TrajectoryPoint(last.iteration, last.objective,
-                                                              float("inf"))
-            return state
+        def exact_on_trial_0(y, p, cfgs, ground_truth=None):
+            states = real(y, p, cfgs, ground_truth)  # the sweep passes its trials as one stack
+            for cfg, state in zip(cfgs, states):
+                if cfg.seed == 8:
+                    last = state.trajectory[-1]
+                    state.trajectory[-1] = solver.TrajectoryPoint(last.iteration, last.objective,
+                                                                  float("inf"))
+            return states
 
         monkeypatch.setattr(solver, "run", exact_on_trial_0)
         out = tmp_path / "out"

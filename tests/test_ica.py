@@ -10,6 +10,7 @@ from ldinfomax.ica import (
     whiten,
 )
 from ldinfomax.stats import sample_covariance
+from oracles import sample_pass_infomax
 
 
 def unit_uniform_sources(r, n, seed):
@@ -79,6 +80,21 @@ class TestIcaInfomax:
         z, _ = whiten(s, 3)
         with pytest.raises(IcaDivergenceError):
             ica_infomax(z, IcaConfig(learning_rate=1e6, max_iter=50))
+
+
+class TestIcaOracle:
+    @pytest.mark.parametrize("lr, halves", [(0.1, False), (1.0, True)])
+    def test_matches_sample_pass_loop(self, lr, halves):
+        # on whitened data W Wᵀ and ½‖W‖²_F equal the sample passes up to
+        # rounding; with lr=1.0 the rate halves, so every likelihood
+        # comparison has to come out the same as well
+        rng = np.random.default_rng(12)
+        y = rng.standard_normal((6, 4)) @ unit_uniform_sources(4, 2000, seed=12)
+        z, _ = whiten(y, 4)
+        cfg = IcaConfig(learning_rate=lr)
+        w_ref, lr_end = sample_pass_infomax(z, cfg)
+        assert (lr_end < lr) == halves
+        assert np.abs(ica_infomax(z, cfg) - w_ref).max() <= 1e-12
 
 
 class TestIcaSeparate:

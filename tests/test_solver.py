@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -292,12 +293,112 @@ class TestRun:
                 super().__init__(s, ctx)
                 PoisonedStats.calls += 1
                 if PoisonedStats.calls > 2:
-                    self.objective = float("nan")
+                    self.objective = np.full_like(self.objective, np.nan)
 
         monkeypatch.setattr(solver_mod, "_Stats", PoisonedStats)
         with pytest.raises(DivergenceError) as info:
             run(scenario.y, p, SolverConfig(iterations=10, seed=3))
         assert isinstance(info.value.state, SolverState)
+
+
+# five coordinates, three overlapping l1 pairs: projected by Dykstra's loop
+MIXED_PAIRS = PolytopeSpec(5, (SIGNED,) * 5, ((0, 1), (1, 2), (2, 3)))
+
+
+def stack_inputs(p, seeds, iterations, n=300):
+    scenarios = [
+        make_scenario(ScenarioConfig(r=5, m=8, n=n, rho=0.5, snr_db=30.0, polytope=p, seed=seed))
+        for seed in seeds
+    ]
+    cfgs = [SolverConfig(iterations=iterations, record_every=10, seed=seed) for seed in seeds]
+    return scenarios, cfgs
+
+
+def assert_same_solve(a, b):
+    assert np.array_equal(a.s, b.s)
+    assert a.k == b.k
+    assert np.array_equal(a.objective, b.objective, equal_nan=True)
+    assert np.array_equal(a.estimate, b.estimate)
+    assert a.trajectory == b.trajectory
+
+
+def poison_stats(monkeypatch, real, marker, after, mode):
+    """From statistics call ``after`` + 1 on, fail the trials whose whitened
+    mixtures equal ``marker``: a Cholesky factor of theirs fails
+    (``"cholesky"``, which fails any stack they are in) or their objective
+    turns NaN (``"divergence"``)."""
+    calls = [0]
+
+    class Poisoned(real):
+        def __init__(self, s, ctx):
+            calls[0] += 1
+            r = s.shape[-2]
+            hit = np.array([np.array_equal(z[r:], marker) for z in ctx.z]) & (calls[0] > after)
+            if mode == "cholesky" and hit.any():
+                raise np.linalg.LinAlgError(f"R_s + {ctx.epsilon}*I is not positive definite")
+            super().__init__(s, ctx)
+            if mode == "divergence":
+                self.objective = np.where(hit, np.nan, self.objective)
+
+    monkeypatch.setattr(solver_mod, "_Stats", Poisoned)
+
+
+class TestStack:
+    @pytest.mark.parametrize("p, iterations", [
+        (preset("linf_nonneg", 5), 40), (preset("l1", 5), 40), (MIXED_PAIRS, 6),
+    ], ids=["box", "l1", "mixed"])
+    def test_equals_single_solves(self, p, iterations):
+        scenarios, cfgs = stack_inputs(p, range(30, 34), iterations)
+        truths = [sc.s_true for sc in scenarios]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Dykstra's sweep cap
+            single = [run(sc.y, p, c, ground_truth=sc.s_true) for sc, c in zip(scenarios, cfgs)]
+            stack = run([sc.y for sc in scenarios], p, cfgs, ground_truth=truths)
+        assert len(stack) == len(single)
+        for a, b in zip(stack, single):
+            assert_same_solve(a, b)
+        assert stack.k == len(single) * iterations
+
+    @pytest.mark.parametrize("mode", ["setup", "cholesky", "divergence"])
+    def test_failing_trial_leaves_the_stack(self, monkeypatch, mode):
+        p = preset("linf_nonneg", 5)
+        scenarios, cfgs = stack_inputs(p, range(40, 43), 25)
+        ys = [sc.y for sc in scenarios]
+        truths = [sc.s_true for sc in scenarios]
+        bad = 0
+        if mode == "setup":  # NaN mixtures fail before the first iteration
+            ys[bad] = ys[bad].copy()
+            ys[bad][0, 0] = np.nan
+        real, marker = solver_mod._Stats, None
+        if mode != "setup":
+            marker = solver_mod._RunContext(ys[bad], cfgs[bad].epsilon, p.dim).z[p.dim:]
+
+        def solve(*args):
+            if mode != "setup":  # every call counts statistics from the start
+                poison_stats(monkeypatch, real, marker, 12, mode)
+            return run(*args)
+
+        stack = solve(ys, p, cfgs, truths)
+        with pytest.raises(Exception) as info:
+            solve(ys[bad], p, cfgs[bad], truths[bad])
+        assert type(stack[bad]) is type(info.value)
+        assert str(stack[bad]) == str(info.value)
+        if mode != "setup":
+            assert str(info.value).startswith({
+                "cholesky": "R_s + ", "divergence": "objective became non-finite at iteration 12",
+            }[mode])
+        if mode == "divergence":
+            assert_same_solve(stack[bad].state, info.value.state)
+        for t in (1, 2):
+            assert_same_solve(stack[t], solve(ys[t], p, cfgs[t], truths[t]))
+        assert stack.k == 2 * 25
+
+    def test_configs_may_differ_only_in_seed(self):
+        p = preset("linf_nonneg", 5)
+        scenarios, cfgs = stack_inputs(p, range(2), 5)
+        cfgs[1] = SolverConfig(iterations=6, seed=1)
+        with pytest.raises(ValueError, match="only in their seed"):
+            run([sc.y for sc in scenarios], p, cfgs)
 
 
 class TestCanonicalOrientation:
