@@ -13,13 +13,8 @@ from .config import write_trajectory_csv
 from .datagen import (
     Scenario,
     ScenarioConfig,
-    add_noise,
-    copula_t_uniforms,
     make_scenario,
-    mixing_matrix,
     save_scenario,
-    sources_in_polytope,
-    toeplitz_correlation,
 )
 from .evaluation import (
     Alignment,
@@ -77,13 +72,11 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "TrajectoryPoint",
-    "add_noise",
     "affine_match_to_reference",
     "aggregate",
     "best_alignment",
     "conditional_error_covariance",
     "contains",
-    "copula_t_uniforms",
     "cross_covariance",
     "evaluate",
     "gradient",
@@ -93,7 +86,6 @@ __all__ = [
     "ld_entropy",
     "ld_mutual_information",
     "make_scenario",
-    "mixing_matrix",
     "mse",
     "preset",
     "project_columns",
@@ -101,8 +93,6 @@ __all__ = [
     "sample_covariance",
     "save_scenario",
     "sinr_db",
-    "sources_in_polytope",
-    "toeplitz_correlation",
     "whiten",
     "write_trajectory_csv",
 ]

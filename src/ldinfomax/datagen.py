@@ -20,13 +20,8 @@ from .polytopes import PolytopeSpec, contains, preset
 __all__ = [
     "Scenario",
     "ScenarioConfig",
-    "add_noise",
-    "copula_t_uniforms",
     "make_scenario",
-    "mixing_matrix",
     "save_scenario",
-    "sources_in_polytope",
-    "toeplitz_correlation",
 ]
 
 REJECTION_MIN_RATE = 1e-4
@@ -83,7 +78,7 @@ class Scenario:
     noise_sigma: float
 
 
-def toeplitz_correlation(r, rho):
+def _toeplitz_correlation(r, rho):
     """Equicorrelation matrix: unit diagonal, ``rho`` everywhere else.
 
     This is the Toeplitz matrix generated by the first row ``[1, rho, ...,
@@ -105,7 +100,7 @@ def _check_rho(r, rho):
         )
 
 
-def copula_t_uniforms(r, n, rho, dof, seed):
+def _copula_t_uniforms(r, n, rho, dof, seed):
     """Dependent uniforms in [0, 1] from a t-copula.
 
     Multivariate-t samples are drawn as correlated Gaussians divided by
@@ -115,7 +110,7 @@ def copula_t_uniforms(r, n, rho, dof, seed):
     ``seed`` may be an integer or a ``numpy.random.Generator``.
     """
     rng = np.random.default_rng(seed)
-    corr = toeplitz_correlation(r, rho)
+    corr = _toeplitz_correlation(r, rho)
     chol = np.linalg.cholesky(corr)
     z = chol @ rng.standard_normal((r, n))
     w = rng.chisquare(dof, size=n)
@@ -123,7 +118,7 @@ def copula_t_uniforms(r, n, rho, dof, seed):
     return scipy_stats.t.cdf(t_samples, df=dof)
 
 
-def sources_in_polytope(u, p, mode="reject", draw=None):
+def _sources_in_polytope(u, p, mode="reject", draw=None):
     """Map uniforms in [0, 1]^r into the polytope.
 
     Nonnegative coordinates keep their uniform value; signed coordinates are
@@ -200,7 +195,7 @@ def _map_box(u, p):
     return s
 
 
-def mixing_matrix(m, r, seed):
+def _mixing_matrix(m, r, seed):
     """Random mixing matrix with i.i.d. standard normal entries.
 
     Redraws (up to 10 times) in the unlikely event of a rank-deficient draw.
@@ -215,7 +210,7 @@ def mixing_matrix(m, r, seed):
     raise RuntimeError("failed to draw a full-rank mixing matrix in 10 attempts")
 
 
-def add_noise(y_clean, snr_db, seed):
+def _add_noise(y_clean, snr_db, seed):
     """Add i.i.d. Gaussian noise at the requested mixture SNR.
 
     The noise variance satisfies ``10 log10(P_signal / sigma^2) = snr_db``
@@ -259,15 +254,15 @@ def make_scenario(cfg):
 
     if cfg.source_mode == "copula_t":
         def draw(k):
-            return copula_t_uniforms(cfg.r, k, cfg.rho, cfg.dof, rng_src)
+            return _copula_t_uniforms(cfg.r, k, cfg.rho, cfg.dof, rng_src)
     else:
         def draw(k):
             return rng_src.random((cfg.r, k))
 
-    s_true = sources_in_polytope(draw(cfg.n), cfg.polytope, mode=cfg.l1_mode, draw=draw)
-    h_mix = mixing_matrix(cfg.m, cfg.r, seed_mix)
+    s_true = _sources_in_polytope(draw(cfg.n), cfg.polytope, mode=cfg.l1_mode, draw=draw)
+    h_mix = _mixing_matrix(cfg.m, cfg.r, seed_mix)
     y_clean = h_mix @ s_true
-    y, sigma = add_noise(y_clean, cfg.snr_db, seed_noise)
+    y, sigma = _add_noise(y_clean, cfg.snr_db, seed_noise)
     if not contains(cfg.polytope, s_true, tol=1e-9):
         raise RuntimeError("generated sources violate the polytope")
     return Scenario(s_true, h_mix, y, sigma)

@@ -262,131 +262,70 @@ def run(y, p, cfg, ground_truth=None):
     sequence of truths, one per trial. Every statistic is computed per trial
     and every projection per column, so each trial ends exactly where its
     single solve ends. The result lists, per trial, its state or the
-    exception its single solve raises; a failed trial leaves the stack and
-    the others go on. Its ``k`` sums the iterations of the finished trials.
+    exception its single solve raises: when any trial fails, the stack is
+    solved again trial by trial. Its ``k`` sums the iterations of the
+    finished trials.
     """
     if isinstance(cfg, SolverConfig):
-        (state,) = _solve([y], p, [cfg], [ground_truth])
-        if isinstance(state, Exception):
-            raise state
-        return state
-    return _solve(y, p, cfg, [None] * len(cfg) if ground_truth is None else ground_truth)
-
-
-class _Stack:
-    """The live trials of a stacked solve.
-
-    ``s`` and ``estimate`` are the iterate and its running average as
-    (r, T, N) arrays, so ``project_columns`` takes every column of every
-    trial as one (r, T·N) view. ``ctx`` holds the (T, r+M, N) statistics
-    buffer and ``stats`` the statistics of ``s``. ``live`` lists the input
-    positions of the T trials and ``states`` their states; a trial that fails
-    leaves the stack with its exception in ``out``.
-    """
-
-    def __init__(self, out, live, contexts, starts):
-        self.out, self.live = out, live
-        self.states = [SolverState(s=None, k=0, objective=math.nan, estimate=None) for _ in live]
-        self.finals = {}
-        self.s = np.stack(starts, axis=1)
-        self.estimate = self.s.copy()
-        self.ctx = _RunContext.stack(contexts)
-        self.statistics()
-
-    def drop(self, failed):
-        """Move the trials at the stack positions of ``failed`` to ``out``; restate ``stats``."""
-        if not failed:
-            return
-        for i, exc in failed.items():
-            self.out[self.live[i]] = exc
-        keep = [i for i in range(len(self.live)) if i not in failed]
-        self.live = [self.live[i] for i in keep]
-        self.states = [self.states[i] for i in keep]
-        self.s, self.estimate = self.s[:, keep], self.estimate[:, keep]
-        self.ctx = self.ctx.select(keep)
-        self.statistics()
-
-    def statistics(self):
-        """Set ``stats`` for ``s``; a trial whose Cholesky fails leaves the stack."""
-        if not self.live:
-            return
-        try:
-            self.stats = _Stats(self.s.swapaxes(0, 1), self.ctx)
-        except np.linalg.LinAlgError:
-            failed = {}
-            for i in range(len(self.live)):
-                try:  # alone, the trial raises what its single solve raises
-                    _Stats(self.s[:, i:i + 1].swapaxes(0, 1), self.ctx.select([i]))
-                except np.linalg.LinAlgError as exc:
-                    failed[i] = exc
-            if not failed:
-                raise
-            self.drop(failed)
-
-    def diverged(self, k):
-        """Drop the trials whose objective is not finite, as :class:`DivergenceError`."""
-        objective, failed = self.stats.objective, {}
-        for i in np.flatnonzero(~np.isfinite(objective)):
-            state = SolverState(
-                s=self.s[:, i].copy(), k=k, objective=float(objective[i]),
-                estimate=self.estimate[:, i].copy(), trajectory=self.states[i].trajectory,
-            )
-            failed[i] = DivergenceError(f"objective became non-finite at iteration {k}", state)
-        self.drop(failed)
-
-    def record(self, k, ys, truths, p):
-        """Append a trajectory point to every live trial at iteration ``k``."""
-        failed = {}
-        for i, (t, state) in enumerate(zip(self.live, self.states)):
-            state.k, state.objective = k, float(self.stats.objective[i])
+        return _solve([y], p, [cfg], [ground_truth])[0]
+    if len({replace(c, seed=0) for c in cfg}) > 1:
+        raise ValueError("stacked trials may differ only in their seed")
+    truths = [None] * len(cfg) if ground_truth is None else ground_truth
+    out = _Trials()
+    if not cfg:
+        return out
+    try:
+        out.extend(_solve(y, p, cfg, truths))
+    except Exception:  # find the failing trials, each as its single solve fails
+        for y_t, c, truth in zip(y, cfg, truths):
             try:
-                self.finals[t] = _record(state, self.estimate[:, i].copy(), truths[t], ys[t], p)
-            except Exception as exc:  # the single solve would raise it
-                failed[i] = exc
-        self.drop(failed)
+                out.extend(_solve([y_t], p, [c], [truth]))
+            except Exception as exc:
+                out.append(exc)
+    return out
 
 
 def _solve(ys, p, cfgs, truths):
-    """The solver loop over a stack of trials; see :func:`run`."""
-    if len({replace(c, seed=0) for c in cfgs}) > 1:
-        raise ValueError("stacked trials may differ only in their seed")
-    out = _Trials([None] * len(cfgs))
-    live, contexts, starts = [], [], []
-    for t, (y, c) in enumerate(zip(ys, cfgs)):
-        try:
-            ctx, s0 = _RunContext(y, c.epsilon, p.dim), initialize(y, p, c)
-        except Exception as exc:  # the trial fails where its single solve fails
-            out[t] = exc
-            continue
-        live.append(t)
-        contexts.append(ctx)
-        starts.append(s0)
-    if not live:
-        return out
+    """The solver loop over a stack of trials; raises the first failure of any.
+
+    The iterate ``s`` and its running average ``estimate`` are (r, T, N)
+    arrays, so ``project_columns`` takes every column of every trial as one
+    (r, T·N) view. A :class:`DivergenceError` carries its trial's state.
+    """
     cfg = cfgs[0]
-    stack = _Stack(out, live, contexts, starts)
-    if stack.live:
-        stack.record(0, ys, truths, p)
+    ctx = _RunContext.stack([_RunContext(y, c.epsilon, p.dim) for y, c in zip(ys, cfgs)])
+    s = np.stack([initialize(y, p, c) for y, c in zip(ys, cfgs)], axis=1)
+    estimate = s.copy()
+    stats = _Stats(s.swapaxes(0, 1), ctx)
+    states = [SolverState(s=None, k=0, objective=math.nan, estimate=None) for _ in ys]
+    finals = [None] * len(ys)
+
+    def record(k):
+        for i, state in enumerate(states):
+            state.k, state.objective = k, float(stats.objective[i])
+            finals[i] = _record(state, estimate[:, i].copy(), truths[i], ys[i], p)
+
+    record(0)
     for k in range(1, cfg.iterations + 1):
-        if not stack.live:
-            break
-        step = stack.s + stack.stats.gradient(stack.ctx, cfg.mu0 / math.sqrt(k)).swapaxes(0, 1)
-        stack.s = project_columns(p, step.reshape(p.dim, -1)).reshape(step.shape)
-        stack.statistics()
-        if not stack.live:
-            break
+        step = s + stats.gradient(ctx, cfg.mu0 / math.sqrt(k)).swapaxes(0, 1)
+        s = project_columns(p, step.reshape(p.dim, -1)).reshape(step.shape)
+        stats = _Stats(s.swapaxes(0, 1), ctx)
         beta = (AVERAGING_POWER + 1.0) / (k + AVERAGING_POWER)
-        stack.estimate *= 1.0 - beta
-        stack.estimate += beta * stack.s
-        if not np.isfinite(stack.stats.objective).all():
-            stack.diverged(k)
-        if stack.live and (k % cfg.record_every == 0 or k == cfg.iterations):
-            stack.record(k, ys, truths, p)
-    for i, (t, state) in enumerate(zip(stack.live, stack.states)):
+        estimate *= 1.0 - beta
+        estimate += beta * s
+        finite = np.isfinite(stats.objective)
+        if not finite.all():
+            i = np.argmin(finite)  # the first trial that diverged
+            state = SolverState(
+                s=s[:, i].copy(), k=k, objective=float(stats.objective[i]),
+                estimate=estimate[:, i].copy(), trajectory=states[i].trajectory,
+            )
+            raise DivergenceError(f"objective became non-finite at iteration {k}", state)
+        if k % cfg.record_every == 0 or k == cfg.iterations:
+            record(k)
+    for i, (y, state, final) in enumerate(zip(ys, states, finals)):
         # the last point is recorded at the final estimate: reuse its canonical form
-        final = stack.finals[t]
         if final is None:
-            final = canonical_orientation(stack.estimate[:, i].copy(), ys[t], p)
-        state.s, state.estimate = stack.s[:, i].copy(), final
-        out[t] = state
-    return out
+            final = canonical_orientation(estimate[:, i].copy(), y, p)
+        state.s, state.estimate = s[:, i].copy(), final
+    return states

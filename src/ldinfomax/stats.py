@@ -130,6 +130,8 @@ class _RunContext:
         y = np.asarray(y, dtype=float)
         if y.ndim != 2 or y.shape[1] < 2:
             raise ValueError("mixtures must be an (M, N) matrix with N >= 2")
+        if not np.isfinite(y).all():
+            raise ValueError("mixtures contain non-finite entries")
         self.n, self.epsilon = y.shape[1], float(epsilon)
         yc = _center(y)
         self.z = np.empty((r + yc.shape[0], self.n))
@@ -140,12 +142,6 @@ class _RunContext:
         """One context over the trials of ``contexts``, which share N, M and epsilon."""
         ctx = copy.copy(contexts[0])
         ctx.z = np.stack([c.z for c in contexts])
-        return ctx
-
-    def select(self, trials):
-        """The context of the listed trials of a stacked context."""
-        ctx = copy.copy(self)
-        ctx.z = self.z[trials]
         return ctx
 
 

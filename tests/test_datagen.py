@@ -4,82 +4,82 @@ from scipy import stats as scipy_stats
 
 from ldinfomax.datagen import (
     ScenarioConfig,
-    add_noise,
-    copula_t_uniforms,
+    _add_noise,
+    _copula_t_uniforms,
+    _mixing_matrix,
+    _sources_in_polytope,
+    _toeplitz_correlation,
     make_scenario,
-    mixing_matrix,
     save_scenario,
-    sources_in_polytope,
-    toeplitz_correlation,
 )
 from ldinfomax.polytopes import contains, preset
 
 
 class TestToeplitzCorrelation:
     def test_identity_at_zero(self):
-        assert np.allclose(toeplitz_correlation(2, 0.0), np.eye(2))
+        assert np.allclose(_toeplitz_correlation(2, 0.0), np.eye(2))
 
     def test_first_row(self):
-        c = toeplitz_correlation(5, 0.5)
+        c = _toeplitz_correlation(5, 0.5)
         assert np.allclose(c[0], [1.0, 0.5, 0.5, 0.5, 0.5])
         assert np.allclose(c, c.T)
 
     def test_eigenvalues_high_correlation(self):
-        w = np.sort(np.linalg.eigvalsh(toeplitz_correlation(3, 0.9)))
+        w = np.sort(np.linalg.eigvalsh(_toeplitz_correlation(3, 0.9)))
         assert np.allclose(w, [0.1, 0.1, 2.8], atol=1e-12)
 
     def test_rejects_non_pd(self):
         with pytest.raises(ValueError):
-            toeplitz_correlation(3, -0.6)
+            _toeplitz_correlation(3, -0.6)
         with pytest.raises(ValueError):
-            toeplitz_correlation(3, 1.0)
+            _toeplitz_correlation(3, 1.0)
 
 
 class TestCopulaUniforms:
     def test_range(self):
-        u = copula_t_uniforms(4, 500, 0.3, 4, seed=0)
+        u = _copula_t_uniforms(4, 500, 0.3, 4, seed=0)
         assert u.shape == (4, 500)
         assert u.min() >= 0.0 and u.max() <= 1.0
 
     def test_uniform_marginals_uncorrelated(self):
-        u = copula_t_uniforms(5, 10000, 0.0, 4, seed=1)
+        u = _copula_t_uniforms(5, 10000, 0.0, 4, seed=1)
         for i in range(5):
             ks = scipy_stats.kstest(u[i], "uniform").statistic
             assert ks < 0.02
 
     def test_pairwise_correlation_at_half(self):
-        u = copula_t_uniforms(5, 10000, 0.5, 4, seed=2)
+        u = _copula_t_uniforms(5, 10000, 0.5, 4, seed=2)
         corr = np.corrcoef(u)
         off = corr[np.triu_indices(5, 1)]
         assert np.all(off >= 0.35) and np.all(off <= 0.60)
 
     def test_deterministic(self):
-        a = copula_t_uniforms(3, 100, 0.4, 4, seed=7)
-        b = copula_t_uniforms(3, 100, 0.4, 4, seed=7)
+        a = _copula_t_uniforms(3, 100, 0.4, 4, seed=7)
+        b = _copula_t_uniforms(3, 100, 0.4, 4, seed=7)
         assert np.array_equal(a, b)
 
 
 class TestSourcesInPolytope:
     def test_nonneg_box_is_identity(self):
         u = np.random.default_rng(3).random((3, 50))
-        out = sources_in_polytope(u, preset("linf_nonneg", 3))
+        out = _sources_in_polytope(u, preset("linf_nonneg", 3))
         assert np.array_equal(out, u)
 
     def test_signed_box_mapping(self):
         u = np.array([[0.0, 0.5, 1.0]])
-        out = sources_in_polytope(u, preset("linf", 1))
+        out = _sources_in_polytope(u, preset("linf", 1))
         assert np.allclose(out, [[-1.0, 0.0, 1.0]])
 
     def test_rejection_acceptance_rate_two_dims(self):
         # for any radially symmetric copula P(u1 + u2 <= 1) = 1/2
-        u = copula_t_uniforms(2, 100000, 0.0, 4, seed=4)
+        u = _copula_t_uniforms(2, 100000, 0.0, 4, seed=4)
         rate = np.mean(u.sum(axis=0) <= 1.0)
         assert abs(rate - 0.5) < 0.05
 
     def test_rejection_fills_target_count(self):
         rng = np.random.default_rng(5)
         p = preset("l1_nonneg", 3)
-        out = sources_in_polytope(
+        out = _sources_in_polytope(
             rng.random((3, 400)), p, mode="reject", draw=lambda k: rng.random((3, k))
         )
         assert out.shape == (3, 400)
@@ -88,12 +88,12 @@ class TestSourcesInPolytope:
     def test_rejection_without_draw_errors(self):
         u = np.full((3, 10), 0.9)
         with pytest.raises(RuntimeError):
-            sources_in_polytope(u, preset("l1_nonneg", 3), mode="reject")
+            _sources_in_polytope(u, preset("l1_nonneg", 3), mode="reject")
 
     def test_scale_mode_feasible(self):
         rng = np.random.default_rng(6)
         p = preset("l1_nonneg", 4)
-        out = sources_in_polytope(rng.random((4, 300)), p, mode="scale")
+        out = _sources_in_polytope(rng.random((4, 300)), p, mode="scale")
         assert contains(p, out, tol=0.0)
         assert out.shape == (4, 300)
 
@@ -101,7 +101,7 @@ class TestSourcesInPolytope:
         rng = np.random.default_rng(7)
         p = preset("l1_nonneg", 12)
         with pytest.raises(RuntimeError, match="scale"):
-            sources_in_polytope(
+            _sources_in_polytope(
                 rng.random((12, 1000)), p, mode="reject",
                 draw=lambda k: rng.random((12, k)),
             )
@@ -109,45 +109,45 @@ class TestSourcesInPolytope:
 
 class TestMixingMatrix:
     def test_reproducible(self):
-        assert np.array_equal(mixing_matrix(8, 5, seed=1), mixing_matrix(8, 5, seed=1))
+        assert np.array_equal(_mixing_matrix(8, 5, seed=1), _mixing_matrix(8, 5, seed=1))
 
     def test_law_of_large_numbers(self):
-        h = mixing_matrix(100, 100, seed=2)
+        h = _mixing_matrix(100, 100, seed=2)
         assert abs(h.mean()) < 3 / np.sqrt(100 * 100)
         assert abs(h.var() - 1.0) < 0.2
 
     def test_full_rank(self):
         for seed in range(5):
-            assert np.linalg.matrix_rank(mixing_matrix(8, 5, seed=seed)) == 5
+            assert np.linalg.matrix_rank(_mixing_matrix(8, 5, seed=seed)) == 5
 
     def test_rejects_underdetermined(self):
         with pytest.raises(ValueError):
-            mixing_matrix(3, 5, seed=0)
+            _mixing_matrix(3, 5, seed=0)
 
 
 class TestAddNoise:
     def test_noiseless_sentinels(self):
         y = np.random.default_rng(8).standard_normal((3, 20))
         for snr in (None, np.inf):
-            out, sigma = add_noise(y, snr, seed=0)
+            out, sigma = _add_noise(y, snr, seed=0)
             assert sigma == 0.0
             assert np.array_equal(out, y)
 
     def test_zero_db_matches_signal_power(self):
         y = np.random.default_rng(9).standard_normal((4, 5000))
-        _, sigma = add_noise(y, 0.0, seed=1)
+        _, sigma = _add_noise(y, 0.0, seed=1)
         power = np.mean(y**2)
         assert sigma**2 == pytest.approx(power, rel=1e-12)
 
     def test_realized_snr(self):
         y = np.random.default_rng(10).standard_normal((5, 10000))
-        noisy, _ = add_noise(y, 20.0, seed=2)
+        noisy, _ = _add_noise(y, 20.0, seed=2)
         realized = 10 * np.log10(np.mean(y**2) / np.mean((noisy - y) ** 2))
         assert abs(realized - 20.0) < 0.2
 
     def test_zero_signal_rejected(self):
         with pytest.raises(ValueError):
-            add_noise(np.zeros((2, 4)), 10.0, seed=0)
+            _add_noise(np.zeros((2, 4)), 10.0, seed=0)
 
 
 class TestMakeScenario:

@@ -323,17 +323,17 @@ def assert_same_solve(a, b):
 
 
 def poison_stats(monkeypatch, real, marker, after, mode):
-    """From statistics call ``after`` + 1 on, fail the trials whose whitened
-    mixtures equal ``marker``: a Cholesky factor of theirs fails
+    """From statistics call ``after`` + 1 on a context, fail the trials whose
+    whitened mixtures equal ``marker``: a Cholesky factor of theirs fails
     (``"cholesky"``, which fails any stack they are in) or their objective
-    turns NaN (``"divergence"``)."""
-    calls = [0]
+    turns NaN (``"divergence"``). Each solve counts on its own context, so a
+    trial solved alone fails at the same iteration in or out of a stack."""
 
     class Poisoned(real):
         def __init__(self, s, ctx):
-            calls[0] += 1
+            ctx.calls = getattr(ctx, "calls", 0) + 1
             r = s.shape[-2]
-            hit = np.array([np.array_equal(z[r:], marker) for z in ctx.z]) & (calls[0] > after)
+            hit = np.array([np.array_equal(z[r:], marker) for z in ctx.z]) & (ctx.calls > after)
             if mode == "cholesky" and hit.any():
                 raise np.linalg.LinAlgError(f"R_s + {ctx.epsilon}*I is not positive definite")
             super().__init__(s, ctx)
@@ -359,7 +359,7 @@ class TestStack:
             assert_same_solve(a, b)
         assert stack.k == len(single) * iterations
 
-    @pytest.mark.parametrize("mode", ["setup", "cholesky", "divergence"])
+    @pytest.mark.parametrize("mode", ["setup", "cholesky", "divergence", "record"])
     def test_failing_trial_leaves_the_stack(self, monkeypatch, mode):
         p = preset("linf_nonneg", 5)
         scenarios, cfgs = stack_inputs(p, range(40, 43), 25)
@@ -369,28 +369,31 @@ class TestStack:
         if mode == "setup":  # NaN mixtures fail before the first iteration
             ys[bad] = ys[bad].copy()
             ys[bad][0, 0] = np.nan
-        real, marker = solver_mod._Stats, None
-        if mode != "setup":
+        if mode == "record":  # a truth one column short fails the SINR at iteration 0
+            truths[bad] = truths[bad][:, :-1]
+        if mode in ("cholesky", "divergence"):
             marker = solver_mod._RunContext(ys[bad], cfgs[bad].epsilon, p.dim).z[p.dim:]
+            poison_stats(monkeypatch, solver_mod._Stats, marker, 12, mode)
+        # the stack is solved again without nesting calls of the module's run,
+        # whose spans a tracer sums
+        calls = []
+        monkeypatch.setattr(solver_mod, "run", lambda *a: calls.append(a) or run(*a))
 
-        def solve(*args):
-            if mode != "setup":  # every call counts statistics from the start
-                poison_stats(monkeypatch, real, marker, 12, mode)
-            return run(*args)
-
-        stack = solve(ys, p, cfgs, truths)
+        stack = solver_mod.run(ys, p, cfgs, truths)
+        assert len(calls) == 1
         with pytest.raises(Exception) as info:
-            solve(ys[bad], p, cfgs[bad], truths[bad])
+            run(ys[bad], p, cfgs[bad], truths[bad])
         assert type(stack[bad]) is type(info.value)
         assert str(stack[bad]) == str(info.value)
-        if mode != "setup":
-            assert str(info.value).startswith({
-                "cholesky": "R_s + ", "divergence": "objective became non-finite at iteration 12",
-            }[mode])
+        assert str(info.value).startswith({
+            "setup": "mixtures contain non-finite entries", "cholesky": "R_s + ",
+            "divergence": "objective became non-finite at iteration 12",
+            "record": "shape mismatch",
+        }[mode])
         if mode == "divergence":
             assert_same_solve(stack[bad].state, info.value.state)
         for t in (1, 2):
-            assert_same_solve(stack[t], solve(ys[t], p, cfgs[t], truths[t]))
+            assert_same_solve(stack[t], run(ys[t], p, cfgs[t], truths[t]))
         assert stack.k == 2 * 25
 
     def test_configs_may_differ_only_in_seed(self):

@@ -15,14 +15,12 @@ PUBLIC_NAMES = [
     "Alignment", "CovarianceBundle", "DivergenceError", "EvaluationReport",
     "IcaConfig", "IcaDivergenceError", "PolytopeSpec", "Scenario",
     "ScenarioConfig", "SolverConfig", "SolverState", "TrajectoryPoint",
-    "add_noise", "affine_match_to_reference", "aggregate",
-    "best_alignment", "conditional_error_covariance", "contains",
-    "copula_t_uniforms", "cross_covariance", "evaluate", "gradient",
-    "ica_infomax", "ica_separate", "initialize", "ld_entropy",
-    "ld_mutual_information", "make_scenario", "mixing_matrix", "mse", "preset",
-    "project_columns", "run", "sample_covariance", "save_scenario",
-    "sinr_db", "sources_in_polytope", "toeplitz_correlation", "whiten",
-    "write_trajectory_csv",
+    "affine_match_to_reference", "aggregate", "best_alignment",
+    "conditional_error_covariance", "contains", "cross_covariance", "evaluate",
+    "gradient", "ica_infomax", "ica_separate", "initialize", "ld_entropy",
+    "ld_mutual_information", "make_scenario", "mse", "preset",
+    "project_columns", "run", "sample_covariance", "save_scenario", "sinr_db",
+    "whiten", "write_trajectory_csv",
 ]
 
 CONFIG_FIELDS = [
