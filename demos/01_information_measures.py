@@ -12,9 +12,7 @@ trustworthy.
 import numpy as np
 
 from ldinfomax import (
-    CovarianceBundle,
     conditional_error_covariance,
-    cross_covariance,
     ld_entropy,
     ld_mutual_information,
     sample_covariance,
@@ -43,13 +41,7 @@ print(f"\nMI(sources, their mixtures)  : {mi_related:.3f} nats (large)")
 print(f"MI(sources, fresh noise)     : {mi_unrelated:.3f} nats (near zero)")
 
 # --- the error covariance is what conditioning removes -------------------
-bundle = CovarianceBundle(
-    sample_covariance(sources),
-    sample_covariance(mixtures),
-    cross_covariance(sources, mixtures),
-    eps,
-)
-r_e = conditional_error_covariance(bundle)
+r_e = conditional_error_covariance(sources, mixtures, eps)
 print(f"\nresidual covariance after predicting sources from mixtures:")
 print(np.array_str(r_e, precision=6, suppress_small=True))
 print("(noiseless mixtures: only the regularization floor remains)")

@@ -20,18 +20,14 @@ from .evaluation import (
     Alignment,
     EvaluationReport,
     aggregate,
-    best_alignment,
     evaluate,
-    mse,
     sinr_db,
 )
 from .ica import (
     IcaConfig,
     IcaDivergenceError,
     affine_match_to_reference,
-    ica_infomax,
     ica_separate,
-    whiten,
 )
 from .polytopes import (
     PolytopeSpec,
@@ -49,9 +45,7 @@ from .solver import (
     run,
 )
 from .stats import (
-    CovarianceBundle,
     conditional_error_covariance,
-    cross_covariance,
     ld_entropy,
     ld_mutual_information,
     sample_covariance,
@@ -61,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alignment",
-    "CovarianceBundle",
     "DivergenceError",
     "EvaluationReport",
     "IcaConfig",
@@ -74,25 +67,20 @@ __all__ = [
     "TrajectoryPoint",
     "affine_match_to_reference",
     "aggregate",
-    "best_alignment",
     "conditional_error_covariance",
     "contains",
-    "cross_covariance",
     "evaluate",
     "gradient",
-    "ica_infomax",
     "ica_separate",
     "initialize",
     "ld_entropy",
     "ld_mutual_information",
     "make_scenario",
-    "mse",
     "preset",
     "project_columns",
     "run",
     "sample_covariance",
     "save_scenario",
     "sinr_db",
-    "whiten",
     "write_trajectory_csv",
 ]

@@ -82,11 +82,9 @@ def _toeplitz_correlation(r, rho):
     """Equicorrelation matrix: unit diagonal, ``rho`` everywhere else.
 
     This is the Toeplitz matrix generated by the first row ``[1, rho, ...,
-    rho]``. Positive definite exactly for ``rho`` in (-1/(r-1), 1).
+    rho]``. Positive definite exactly for ``rho`` in (-1/(r-1), 1), which
+    :class:`ScenarioConfig` checks.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
-    _check_rho(r, rho)
     return np.full((r, r), float(rho)) + (1.0 - rho) * np.eye(r)
 
 
@@ -118,7 +116,7 @@ def _copula_t_uniforms(r, n, rho, dof, seed):
     return scipy_stats.t.cdf(t_samples, df=dof)
 
 
-def _sources_in_polytope(u, p, mode="reject", draw=None):
+def _sources_in_polytope(u, p, mode, draw):
     """Map uniforms in [0, 1]^r into the polytope.
 
     Nonnegative coordinates keep their uniform value; signed coordinates are
@@ -133,14 +131,8 @@ def _sources_in_polytope(u, p, mode="reject", draw=None):
     Raises
     ------
     RuntimeError
-        When rejection acceptance falls below 1e-4 (use "scale" instead), or
-        when redraws are needed but no ``draw`` callable was supplied.
+        When rejection acceptance falls below 1e-4 (use "scale" instead).
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != p.dim:
-        raise ValueError(f"expected uniforms of shape ({p.dim}, N), got {u.shape}")
-    if u.min() < 0.0 or u.max() > 1.0:
-        raise ValueError("uniform inputs must lie in [0, 1]")
     n_target = u.shape[1]
 
     if mode == "scale":
@@ -153,8 +145,6 @@ def _sources_in_polytope(u, p, mode="reject", draw=None):
                 s[np.ix_(g, np.flatnonzero(viol))] /= norms[viol] * (1.0 + 1e-9)
         return s
 
-    if mode != "reject":
-        raise ValueError(f"unknown mode {mode!r}")
     if not p.l1_groups:
         return _map_box(u, p)
 
@@ -177,13 +167,9 @@ def _sources_in_polytope(u, p, mode="reject", draw=None):
                 f"rejection acceptance rate {n_have / n_drawn:.2e} below "
                 f"{REJECTION_MIN_RATE}; use mode='scale' for this polytope"
             )
-        if draw is None:
-            raise RuntimeError(
-                "rejection needs replacement draws; pass a draw(k) callable"
-            )
         deficit = n_target - n_have
         rate = max(n_have / n_drawn, REJECTION_MIN_RATE)
-        block = np.asarray(draw(min(int(deficit / rate * 1.2) + 1, 200_000)), dtype=float)
+        block = draw(min(int(deficit / rate * 1.2) + 1, 200_000))
     return np.hstack(accepted)[:, :n_target]
 
 
@@ -200,8 +186,6 @@ def _mixing_matrix(m, r, seed):
 
     Redraws (up to 10 times) in the unlikely event of a rank-deficient draw.
     """
-    if m < r:
-        raise ValueError(f"need m >= r, got m={m}, r={r}")
     rng = np.random.default_rng(seed)
     for _ in range(10):
         h = rng.standard_normal((m, r))

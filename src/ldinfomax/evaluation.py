@@ -17,9 +17,7 @@ __all__ = [
     "Alignment",
     "EvaluationReport",
     "aggregate",
-    "best_alignment",
     "evaluate",
-    "mse",
     "sinr_db",
 ]
 
@@ -71,28 +69,16 @@ def _check_pair(s_est, s_true):
     return s_est, s_true
 
 
-def best_alignment(s_est, s_true):
+def _alignment(s_est, s_true):
     """MSE-optimal permutation and signs matching estimate rows to truth rows.
 
     The assignment maximizes the total absolute inner product between matched
     rows, which coincides with minimizing ``(1/N) ||s_est - D P s_true||_F^2``
     over all permutations P and +-1 diagonal D. Signs are read off from the
-    matched inner products.
-    """
-    s_est, s_true = _check_pair(s_est, s_true)
-    est_norms = np.linalg.norm(s_est, axis=1)
-    true_norms = np.linalg.norm(s_true, axis=1)
-    if np.any(est_norms == 0) or np.any(true_norms == 0):
-        raise ValueError("zero-norm row; alignment is undefined")
-    return _alignment_unchecked(s_est, s_true)
-
-
-def _alignment_unchecked(s_est, s_true):
-    """Hungarian alignment without the degeneracy guard.
-
-    Zero-norm estimate rows contribute zero profit everywhere; the resulting
-    arbitrary match still charges the full power of the assigned truth row,
-    which is exactly the MSE-optimal treatment of a dead estimate.
+    matched inner products. Zero-norm estimate rows contribute zero profit
+    everywhere; the resulting arbitrary match still charges the full power of
+    the assigned truth row, which is exactly the MSE-optimal treatment of a
+    dead estimate.
     """
     inner = s_est @ s_true.T
     _, cols = linear_sum_assignment(-np.abs(inner))
@@ -102,9 +88,8 @@ def _alignment_unchecked(s_est, s_true):
     return Alignment(perm, signs)
 
 
-def mse(s_est, s_true, alignment):
+def _mse(s_est, s_true, alignment):
     """Mean square error per sample against the aligned ground truth."""
-    s_est, s_true = _check_pair(s_est, s_true)
     diff = s_est - alignment.apply(s_true)
     return float(np.sum(diff * diff) / s_est.shape[1])
 
@@ -117,7 +102,7 @@ def sinr_db(s_est, s_true):
     recovery returns ``inf``.
     """
     s_est, s_true = _check_pair(s_est, s_true)
-    return _sinr_from_mse(mse(s_est, s_true, _alignment_unchecked(s_est, s_true)), s_true)
+    return _sinr_from_mse(_mse(s_est, s_true, _alignment(s_est, s_true)), s_true)
 
 
 def _sinr_from_mse(err, s_true):
@@ -132,9 +117,9 @@ def _sinr_from_mse(err, s_true):
 def evaluate(s_est, s_true):
     """Full report: MSE, SINR, alignment, and per-source correlations."""
     s_est, s_true = _check_pair(s_est, s_true)
-    alignment = _alignment_unchecked(s_est, s_true)
+    alignment = _alignment(s_est, s_true)
     aligned = alignment.apply(s_true)
-    err = mse(s_est, s_true, alignment)
+    err = _mse(s_est, s_true, alignment)
     value = _sinr_from_mse(err, s_true)
     dots = np.sum(s_est * aligned, axis=1)
     scale = np.linalg.norm(s_est, axis=1) * np.linalg.norm(aligned, axis=1)

@@ -20,9 +20,7 @@ __all__ = [
     "IcaConfig",
     "IcaDivergenceError",
     "affine_match_to_reference",
-    "ica_infomax",
     "ica_separate",
-    "whiten",
 ]
 
 
@@ -55,7 +53,7 @@ class IcaDivergenceError(RuntimeError):
     """Unmixing matrix became non-finite or blew up."""
 
 
-def whiten(y, r):
+def _whiten(y, r):
     """PCA-whiten the mixtures down to ``r`` components.
 
     Returns ``(z, w_white)`` with ``z = w_white @ (y - mean)`` an (r, N)
@@ -86,10 +84,10 @@ def whiten(y, r):
     return w_white @ yc, w_white
 
 
-def ica_infomax(z, cfg):
+def _ica_infomax(z, cfg):
     """Natural-gradient infomax unmixing of whitened data.
 
-    ``z`` must be whitened as :func:`whiten` returns it: zero-mean rows with
+    ``z`` must be whitened as :func:`_whiten` returns it: zero-mean rows with
     ``z zᵀ/N = I``. The loop relies on that identity: with ``u = W z``,
     ``u uᵀ/N = W Wᵀ`` and the quadratic term of the log-likelihood is
     ``½‖W‖²_F``, so neither takes a pass over the samples.
@@ -158,8 +156,8 @@ def ica_separate(y, r, cfg):
     scale.
     """
     y = np.asarray(y, dtype=float)
-    z, _ = whiten(y, r)
-    return ica_infomax(z, cfg) @ z
+    z, _ = _whiten(y, r)
+    return _ica_infomax(z, cfg) @ z
 
 
 def affine_match_to_reference(s_est, s_ref):

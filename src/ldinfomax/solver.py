@@ -19,7 +19,7 @@ import numpy as np
 
 from . import evaluation
 from .datagen import _map_box
-from .ica import whiten
+from .ica import _whiten
 from .polytopes import NONNEG, project_columns
 from .stats import _center, _cross, _RunContext, _Stats
 
@@ -133,7 +133,7 @@ def initialize(y, p, cfg):
         raise ValueError(f"cannot estimate r={p.dim} sources from M={m} mixtures")
     rng = np.random.default_rng(cfg.seed)
     try:
-        z, _ = whiten(y, p.dim)
+        z, _ = _whiten(y, p.dim)
     except np.linalg.LinAlgError:
         warnings.warn(
             "mixture rank below the source count; falling back to random init",
@@ -259,18 +259,23 @@ def run(y, p, cfg, ground_truth=None):
     Several trials run as one stack through the same loop when ``cfg`` is a
     sequence of configs that differ only in ``seed``: ``y`` is then a
     sequence of mixtures of one shape and ``ground_truth`` None or a
-    sequence of truths, one per trial. Every statistic is computed per trial
-    and every projection per column, so each trial ends exactly where its
-    single solve ends. The result lists, per trial, its state or the
-    exception its single solve raises: when any trial fails, the stack is
-    solved again trial by trial. Its ``k`` sums the iterations of the
-    finished trials.
+    sequence of truths, one per trial (unequal lengths raise ``ValueError``).
+    Every statistic is computed per trial and every projection per column, so
+    each trial ends exactly where its single solve ends. The result lists,
+    per trial, its state or the exception its single solve raises: when any
+    trial fails, the stack is solved again trial by trial. Its ``k`` sums the
+    iterations of the finished trials.
     """
     if isinstance(cfg, SolverConfig):
         return _solve([y], p, [cfg], [ground_truth])[0]
     if len({replace(c, seed=0) for c in cfg}) > 1:
         raise ValueError("stacked trials may differ only in their seed")
     truths = [None] * len(cfg) if ground_truth is None else ground_truth
+    if not len(y) == len(cfg) == len(truths):
+        raise ValueError(
+            f"stacked trials need one mixture, config and truth each: got {len(y)} "
+            f"mixtures, {len(cfg)} configs and {len(truths)} truths"
+        )
     out = _Trials()
     if not cfg:
         return out

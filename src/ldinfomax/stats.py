@@ -14,16 +14,13 @@ so its objective is :func:`ld_mutual_information` bit for bit.
 
 import copy
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 __all__ = [
-    "CovarianceBundle",
     "LOG_2PI_E",
     "conditional_error_covariance",
-    "cross_covariance",
     "ld_entropy",
     "ld_mutual_information",
     "logdet_regularized",
@@ -207,16 +204,6 @@ def sample_covariance(x):
     return _covariance(_center(_as_samples(x)))
 
 
-def cross_covariance(s, y):
-    """Biased (1/N) cross covariance between the columns of ``s`` and ``y``.
-
-    Both inputs must have the same number of columns. ``cross_covariance(x, x)``
-    equals ``sample_covariance(x)``.
-    """
-    s, y = _as_pair(s, y)
-    return _cross(_center(s), _center(y))
-
-
 def logdet_regularized(cov, epsilon):
     """log det(cov + epsilon*I) via Cholesky of the symmetrized argument.
 
@@ -237,58 +224,30 @@ def ld_entropy(cov, epsilon):
     matrix dimension. ``epsilon`` keeps the value finite for singular
     covariances.
     """
-    r = np.asarray(cov).shape[0]
+    r = _check_symmetric(cov, "cov").shape[0]
     return 0.5 * logdet_regularized(cov, epsilon) + 0.5 * r * LOG_2PI_E
 
 
-@dataclass(frozen=True)
-class CovarianceBundle:
-    """Covariance statistics shared by the conditional-entropy computations.
+def conditional_error_covariance(s, y, epsilon):
+    """Error covariance of the best ridge-regularized linear predictor of ``s`` from ``y``.
 
-    Attributes
+    Returns the symmetrized ``R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ`` of the
+    biased sample covariances, the covariance left in ``s`` after linearly
+    estimating it from ``y``. The result plus ``eps*I`` is positive definite.
+
+    Parameters
     ----------
-    r_s : ndarray, shape (r, r)
-        Covariance of the conditioned block.
-    r_y : ndarray, shape (M, M)
-        Covariance of the conditioning block.
-    r_sy : ndarray, shape (r, M)
-        Cross covariance between the blocks.
+    s : ndarray, shape (r, N)
+    y : ndarray, shape (M, N)
     epsilon : float
-        Positive regularization added to the diagonal before inversion.
+        Positive regularizer added to the diagonal of ``R_y`` before inversion.
     """
-
-    r_s: np.ndarray
-    r_y: np.ndarray
-    r_sy: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        r_s = _check_symmetric(self.r_s, "r_s")
-        r_y = _check_symmetric(self.r_y, "r_y")
-        r_sy = np.asarray(self.r_sy, dtype=float)
-        if r_sy.shape != (r_s.shape[0], r_y.shape[0]):
-            raise ValueError(
-                f"r_sy must have shape {(r_s.shape[0], r_y.shape[0])}, got {r_sy.shape}"
-            )
-        _check_epsilon(self.epsilon)
-        for name, mat in (("r_s", r_s), ("r_y", r_y)):
-            w = np.linalg.eigvalsh(_symmetrize(mat))
-            if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-                raise ValueError(f"{name} is not positive semidefinite (min eig {w[0]})")
-        object.__setattr__(self, "r_s", r_s)
-        object.__setattr__(self, "r_y", r_y)
-        object.__setattr__(self, "r_sy", r_sy)
-
-
-def conditional_error_covariance(bundle):
-    """Error covariance of the best ridge-regularized linear predictor.
-
-    Returns the symmetrized ``r_s - r_sy (r_y + eps*I)^{-1} r_syᵀ``, the
-    covariance left in the first block after linearly estimating it from the
-    second. The result plus ``eps*I`` is positive definite for any PSD bundle.
-    """
-    chol_y = _cholesky(_symmetrize(bundle.r_y), bundle.epsilon, "r_y")
-    return _error_covariance(bundle.r_s, solve_triangular(chol_y, bundle.r_sy.T, lower=True).T)
+    s, y = _as_pair(s, y)
+    _check_epsilon(epsilon)
+    sc, yc = _center(s), _center(y)
+    chol_y = _cholesky(_covariance(yc), epsilon, "R_y")
+    r_sw = solve_triangular(chol_y, _cross(sc, yc).T, lower=True).T
+    return _error_covariance(_covariance(sc), r_sw)
 
 
 def ld_mutual_information(s, y, epsilon):

@@ -234,7 +234,7 @@ def two_solve_gradient(s, y, epsilon):
 def sample_pass_infomax(z, cfg):
     """Infomax unmixing that forms ``u uᵀ/N`` and ``mean(sum(u²))`` from the samples.
 
-    The loop of :func:`ldinfomax.ica.ica_infomax` without the whitened-input
+    The loop of :func:`ldinfomax.ica._ica_infomax` without the whitened-input
     identities: its natural gradient is ``I + tanh(u) uᵀ/N - u uᵀ/N`` and its
     log-likelihood subtracts half the mean squared output norm. Returns the
     row-normalized unmixing matrix and the final learning rate.

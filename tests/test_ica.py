@@ -5,9 +5,9 @@ from ldinfomax.evaluation import sinr_db
 from ldinfomax.ica import (
     IcaConfig,
     IcaDivergenceError,
-    ica_infomax,
+    _ica_infomax,
+    _whiten,
     ica_separate,
-    whiten,
 )
 from ldinfomax.stats import sample_covariance
 from oracles import sample_pass_infomax
@@ -23,20 +23,20 @@ class TestWhiten:
     def test_identity_covariance(self):
         rng = np.random.default_rng(0)
         y = rng.standard_normal((6, 4)) @ rng.standard_normal((4, 2000))
-        z, _ = whiten(y, 4)
+        z, _ = _whiten(y, 4)
         assert np.allclose(sample_covariance(z), np.eye(4), atol=1e-8)
 
     def test_linear_map(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal((5, 500))
-        z, w_white = whiten(y, 3)
+        z, w_white = _whiten(y, 3)
         yc = y - y.mean(axis=1, keepdims=True)
         assert np.allclose(z, w_white @ yc, atol=1e-12)
 
     def test_energy_ordering(self):
         rng = np.random.default_rng(2)
         y = np.diag([10.0, 5.0, 1.0, 0.1]) @ rng.standard_normal((4, 5000))
-        _, w_white = whiten(y, 2)
+        _, w_white = _whiten(y, 2)
         cov = sample_covariance(y)
         w, v = np.linalg.eigh(cov)
         top2 = v[:, np.argsort(w)[::-1][:2]]
@@ -50,7 +50,7 @@ class TestWhiten:
         y = np.outer(rng.standard_normal(4), rng.standard_normal(300))
         # a LinAlgError (a ValueError) is what sends the solver to random init
         with pytest.raises(np.linalg.LinAlgError):
-            whiten(y, 2)
+            _whiten(y, 2)
 
 
 class TestIcaInfomax:
@@ -58,28 +58,28 @@ class TestIcaInfomax:
         # whitening rotates near-isotropic sources arbitrarily; the unmixing
         # has to undo that rotation, so score against the original sources
         s = unit_uniform_sources(3, 5000, seed=4)
-        z, _ = whiten(s, 3)
-        w = ica_infomax(z, IcaConfig())
+        z, _ = _whiten(s, 3)
+        w = _ica_infomax(z, IcaConfig())
         assert sinr_db(w @ z, s) > 25.0
 
     def test_deterministic(self):
         s = unit_uniform_sources(3, 1000, seed=5)
-        z, _ = whiten(s, 3)
-        assert np.array_equal(ica_infomax(z, IcaConfig()), ica_infomax(z, IcaConfig()))
+        z, _ = _whiten(s, 3)
+        assert np.array_equal(_ica_infomax(z, IcaConfig()), _ica_infomax(z, IcaConfig()))
 
     def test_unmixing_well_conditioned(self):
         rng = np.random.default_rng(6)
         s = unit_uniform_sources(3, 3000, seed=6)
         y = rng.standard_normal((5, 3)) @ s
-        z, _ = whiten(y, 3)
-        w = ica_infomax(z, IcaConfig())
+        z, _ = _whiten(y, 3)
+        w = _ica_infomax(z, IcaConfig())
         assert np.linalg.cond(w) < 1e6
 
     def test_divergence_detected(self):
         s = unit_uniform_sources(3, 500, seed=7)
-        z, _ = whiten(s, 3)
+        z, _ = _whiten(s, 3)
         with pytest.raises(IcaDivergenceError):
-            ica_infomax(z, IcaConfig(learning_rate=1e6, max_iter=50))
+            _ica_infomax(z, IcaConfig(learning_rate=1e6, max_iter=50))
 
 
 class TestIcaOracle:
@@ -90,11 +90,11 @@ class TestIcaOracle:
         # comparison has to come out the same as well
         rng = np.random.default_rng(12)
         y = rng.standard_normal((6, 4)) @ unit_uniform_sources(4, 2000, seed=12)
-        z, _ = whiten(y, 4)
+        z, _ = _whiten(y, 4)
         cfg = IcaConfig(learning_rate=lr)
         w_ref, lr_end = sample_pass_infomax(z, cfg)
         assert (lr_end < lr) == halves
-        assert np.abs(ica_infomax(z, cfg) - w_ref).max() <= 1e-12
+        assert np.abs(_ica_infomax(z, cfg) - w_ref).max() <= 1e-12
 
 
 class TestIcaSeparate:
@@ -103,8 +103,8 @@ class TestIcaSeparate:
         s = unit_uniform_sources(3, 2000, seed=9)
         y = rng.standard_normal((5, 3)) @ s
         cfg = IcaConfig()
-        z, w_white = whiten(y, 3)
-        w = ica_infomax(z, cfg)
+        z, w_white = _whiten(y, 3)
+        w = _ica_infomax(z, cfg)
         assert np.allclose(ica_separate(y, 3, cfg), w @ w_white @ (y - y.mean(axis=1, keepdims=True)), atol=1e-12)
 
     def test_deterministic(self):

@@ -19,13 +19,7 @@ from ldinfomax.solver import (
     initialize,
     run,
 )
-from ldinfomax.stats import (
-    CovarianceBundle,
-    conditional_error_covariance,
-    cross_covariance,
-    ld_mutual_information,
-    sample_covariance,
-)
+from ldinfomax.stats import conditional_error_covariance, ld_mutual_information
 from oracles import exhaustive_orientation, finite_difference_gradient, two_solve_gradient
 
 
@@ -42,7 +36,7 @@ def random_start(monkeypatch):
     def rank_deficient(*_):
         raise np.linalg.LinAlgError("rank deficient")
 
-    monkeypatch.setattr(solver_mod, "whiten", rank_deficient)
+    monkeypatch.setattr(solver_mod, "_whiten", rank_deficient)
 
 
 def manual_steps(y, p, cfg):
@@ -112,10 +106,7 @@ class TestGradient:
             scenario = make_scenario(cfg)
             if truth:
                 s = scenario.s_true
-                r_e = conditional_error_covariance(CovarianceBundle(
-                    sample_covariance(s), sample_covariance(scenario.y),
-                    cross_covariance(s, scenario.y), eps,
-                ))
+                r_e = conditional_error_covariance(s, scenario.y, eps)
                 assert np.linalg.eigvalsh(r_e).min() < eps
             else:
                 s = initialize(scenario.y, cfg.polytope, SolverConfig(seed=20))
@@ -402,6 +393,15 @@ class TestStack:
         cfgs[1] = SolverConfig(iterations=6, seed=1)
         with pytest.raises(ValueError, match="only in their seed"):
             run([sc.y for sc in scenarios], p, cfgs)
+
+    def test_lengths_must_match(self):
+        # zip would drop the trials past the shortest sequence without a word
+        p = preset("linf_nonneg", 5)
+        scenarios, cfgs = stack_inputs(p, range(3), 5)
+        ys, truths = [sc.y for sc in scenarios], [sc.s_true for sc in scenarios]
+        for y_list, truth_list in ((ys, truths[:2]), (ys[:2], truths), (ys[:2], None)):
+            with pytest.raises(ValueError, match="one mixture, config and truth each"):
+                run(y_list, p, cfgs, ground_truth=truth_list)
 
 
 class TestCanonicalOrientation:

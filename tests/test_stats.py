@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from ldinfomax.stats import (
     LOG_2PI_E,
-    CovarianceBundle,
+    _center,
+    _cross,
     conditional_error_covariance,
-    cross_covariance,
     ld_entropy,
     ld_mutual_information,
     logdet_regularized,
@@ -45,6 +46,11 @@ class TestSampleCovariance:
         )
 
 
+def cross_covariance(s, y):
+    """The kernel's biased cross covariance of two sample sets."""
+    return _cross(_center(np.asarray(s, float)), _center(np.asarray(y, float)))
+
+
 class TestCrossCovariance:
     def test_self_consistency(self):
         x = np.random.default_rng(3).standard_normal((3, 40))
@@ -59,8 +65,8 @@ class TestCrossCovariance:
         assert np.allclose(cross_covariance([[1.0, -1.0]], [[-1.0, 1.0]]), [[-1.0]])
 
     def test_rejects_mismatched_samples(self):
-        with pytest.raises(ValueError):
-            cross_covariance(np.ones((2, 5)), np.ones((2, 6)))
+        with pytest.raises(ValueError, match="sample counts differ"):
+            conditional_error_covariance(np.ones((2, 5)), np.ones((2, 6)), 1e-5)
 
 
 class TestLdEntropy:
@@ -89,6 +95,8 @@ class TestLdEntropy:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             ld_entropy(np.array([[1.0, 0.5], [0.0, 1.0]]), 1e-5)
+        with pytest.raises(ValueError, match="square"):
+            ld_entropy(np.float64(1.0), 1e-5)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(6)
@@ -100,40 +108,37 @@ class TestLdEntropy:
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-def _random_bundle(rng, r=3, m=5, eps=1e-5, n=200):
-    s = rng.standard_normal((r, n))
-    y = rng.standard_normal((m, n))
-    return CovarianceBundle(
-        sample_covariance(s), sample_covariance(y), cross_covariance(s, y), eps
-    )
+# rows 1-7 of a Hadamard matrix are zero-mean, orthogonal, and of unit biased variance
+HADAMARD_8 = hadamard(8).astype(float)
 
 
 class TestConditionalErrorCovariance:
     def test_no_correlation_no_reduction(self):
-        r_s = np.diag([2.0, 3.0])
-        bundle = CovarianceBundle(r_s, np.eye(4), np.zeros((2, 4)), 1e-5)
-        assert np.allclose(conditional_error_covariance(bundle), r_s)
+        s = np.diag(np.sqrt([2.0, 3.0])) @ HADAMARD_8[1:3]
+        y = HADAMARD_8[3:7]
+        assert np.allclose(conditional_error_covariance(s, y, 1e-5), np.diag([2.0, 3.0]))
 
     def test_identical_blocks_identity(self):
         eps = 1e-5
-        bundle = CovarianceBundle(np.eye(3), np.eye(3), np.eye(3), eps)
+        s = HADAMARD_8[1:4]
         expected = (eps / (1 + eps)) * np.eye(3)
-        assert np.allclose(conditional_error_covariance(bundle), expected, atol=1e-12)
+        assert np.allclose(conditional_error_covariance(s, s, eps), expected, atol=1e-12)
 
     def test_matches_schur_oracle(self):
-        bundle = _random_bundle(np.random.default_rng(7))
-        expected = schur_conditional_cov(
-            bundle.r_s, bundle.r_y, bundle.r_sy, bundle.epsilon
-        )
-        assert np.allclose(conditional_error_covariance(bundle), expected, atol=1e-10)
+        rng = np.random.default_rng(7)
+        r, eps = 3, 1e-5
+        s = rng.standard_normal((r, 200))
+        y = rng.standard_normal((5, 200))
+        joint = sample_covariance(np.vstack([s, y]))
+        expected = schur_conditional_cov(joint[:r, :r], joint[r:, r:], joint[:r, r:], eps)
+        assert np.allclose(conditional_error_covariance(s, y, eps), expected, atol=1e-10)
 
-    def test_bundle_validation(self):
-        with pytest.raises(ValueError):
-            CovarianceBundle(np.eye(2), np.eye(2), np.zeros((2, 2)), 0.0)
-        with pytest.raises(ValueError):
-            CovarianceBundle(-np.eye(2), np.eye(2), np.zeros((2, 2)), 1e-5)
-        with pytest.raises(ValueError):
-            CovarianceBundle(np.eye(2), np.eye(2), np.zeros((3, 2)), 1e-5)
+    def test_validation(self):
+        s, y = np.eye(2), np.eye(2)
+        with pytest.raises(ValueError, match="epsilon"):
+            conditional_error_covariance(s, y, 0.0)
+        with pytest.raises(ValueError, match="2-D"):
+            conditional_error_covariance(np.ones(4), np.ones((2, 4)), 1e-5)
 
 
 class TestLdMutualInformation:
@@ -164,12 +169,10 @@ class TestIdentities:
         for _ in range(20):
             s = rng.standard_normal((3, 80))
             y = rng.standard_normal((4, 80))
-            r_s, r_y = sample_covariance(s), sample_covariance(y)
-            r_sy = cross_covariance(s, y)
             joint = sample_covariance(np.vstack([s, y]))
-            r_e = conditional_error_covariance(CovarianceBundle(r_s, r_y, r_sy, eps))
+            r_e = conditional_error_covariance(s, y, eps)
             lhs = logdet_regularized(joint, eps)
-            rhs = logdet_regularized(r_y, eps) + logdet_regularized(r_e, eps)
+            rhs = logdet_regularized(sample_covariance(y), eps) + logdet_regularized(r_e, eps)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_symmetry_of_conditioning(self):

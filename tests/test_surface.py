@@ -1,9 +1,10 @@
 """The public names and the config knobs, pinned as literal lists.
 
-A change that adds or removes a public name or a config field has to edit
-these lists, so the change shows in its diff.
+A change that adds or removes a public name, a submodule's exported name or
+a config field has to edit these lists, so the change shows in its diff.
 """
 
+import importlib
 from dataclasses import fields
 
 import pytest
@@ -12,16 +13,38 @@ import ldinfomax
 from ldinfomax.config import ExperimentConfig
 
 PUBLIC_NAMES = [
-    "Alignment", "CovarianceBundle", "DivergenceError", "EvaluationReport",
-    "IcaConfig", "IcaDivergenceError", "PolytopeSpec", "Scenario",
-    "ScenarioConfig", "SolverConfig", "SolverState", "TrajectoryPoint",
-    "affine_match_to_reference", "aggregate", "best_alignment",
-    "conditional_error_covariance", "contains", "cross_covariance", "evaluate",
-    "gradient", "ica_infomax", "ica_separate", "initialize", "ld_entropy",
-    "ld_mutual_information", "make_scenario", "mse", "preset",
-    "project_columns", "run", "sample_covariance", "save_scenario", "sinr_db",
-    "whiten", "write_trajectory_csv",
+    "Alignment", "DivergenceError", "EvaluationReport", "IcaConfig",
+    "IcaDivergenceError", "PolytopeSpec", "Scenario", "ScenarioConfig",
+    "SolverConfig", "SolverState", "TrajectoryPoint", "affine_match_to_reference",
+    "aggregate", "conditional_error_covariance", "contains", "evaluate",
+    "gradient", "ica_separate", "initialize", "ld_entropy",
+    "ld_mutual_information", "make_scenario", "preset", "project_columns", "run",
+    "sample_covariance", "save_scenario", "sinr_db", "write_trajectory_csv",
 ]
+
+SUBMODULE_NAMES = {
+    "cli": ["cmd_eval", "cmd_gen", "cmd_run", "cmd_sweep", "main"],
+    "config": [
+        "ExperimentConfig", "experiment_from_mapping", "experiment_to_mapping",
+        "format_float", "load_experiment", "polytope_from_fields", "polytope_to_fields",
+        "read_kv", "save_experiment", "write_csv", "write_kv", "write_trajectory_csv",
+    ],
+    "datagen": ["Scenario", "ScenarioConfig", "make_scenario", "save_scenario"],
+    "evaluation": ["Alignment", "EvaluationReport", "aggregate", "evaluate", "sinr_db"],
+    "ica": ["IcaConfig", "IcaDivergenceError", "affine_match_to_reference", "ica_separate"],
+    "polytopes": [
+        "PRESET_NAMES", "PolytopeSpec", "contains", "max_violation", "preset",
+        "project_columns",
+    ],
+    "solver": [
+        "DivergenceError", "SolverConfig", "SolverState", "TrajectoryPoint",
+        "canonical_orientation", "gradient", "initialize", "run",
+    ],
+    "stats": [
+        "LOG_2PI_E", "conditional_error_covariance", "ld_entropy",
+        "ld_mutual_information", "logdet_regularized", "sample_covariance",
+    ],
+}
 
 CONFIG_FIELDS = [
     (ldinfomax.ScenarioConfig, [
@@ -37,6 +60,16 @@ CONFIG_FIELDS = [
 
 def test_public_names():
     assert sorted(ldinfomax.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(ldinfomax, name), name
+
+
+@pytest.mark.parametrize("module, names", SUBMODULE_NAMES.items(), ids=list(SUBMODULE_NAMES))
+def test_submodule_names(module, names):
+    mod = importlib.import_module(f"ldinfomax.{module}")
+    assert sorted(mod.__all__) == names
+    for name in names:
+        assert hasattr(mod, name), f"ldinfomax.{module}.{name} does not resolve"
 
 
 @pytest.mark.parametrize("cls, names", CONFIG_FIELDS, ids=[c.__name__ for c, _ in CONFIG_FIELDS])
