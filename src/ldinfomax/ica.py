@@ -1,11 +1,11 @@
 """Infomax ICA baseline for the separation comparisons.
 
-Batch natural-gradient infomax with a fixed sub-Gaussian source model
-(extended infomax with every sign ``K = -I``), the right choice for bounded
-sources: the unmixing matrix evolves as
-``W += lr * (I + tanh(u) u^T/N - W W^T) W`` on whitened data, where
-``W W^T = u u^T/N``. The learning rate is halved whenever the model
-log-likelihood oscillates downward.
+Batch infomax with a fixed sub-Gaussian source model (extended infomax with
+every sign ``K = -I``), the right choice for bounded sources: the unmixing
+matrix maximizes ``log|det W| + mean Σ_i (log cosh u_i - u_i²/2)`` with
+``u = W z`` on whitened data. A relative quasi-Newton iteration (the H2
+Hessian approximation of Picard) with a backtracking line search reaches
+that fixed point in tens of iterations.
 """
 
 import math
@@ -23,26 +23,25 @@ __all__ = [
     "ica_separate",
 ]
 
+# floor on the smallest eigenvalue of each 2x2 block of the Newton system
+_MIN_PAIR_EIGENVALUE = 1e-2
+
 
 @dataclass(frozen=True)
 class IcaConfig:
     """Infomax settings.
 
-    ``learning_rate`` applies to full-batch sweeps; 0.1 corresponds to the
-    usual per-block rates (around 1e-3) once the tens of block updates per
-    data pass are folded into one batch step. ``seed`` is carried for
-    harness bookkeeping; the batch iteration itself is deterministic from
-    the identity start.
+    ``max_iter`` caps the quasi-Newton iterations, and ``tol`` is the
+    Frobenius norm of the unmixing update below which the loop has
+    converged. ``seed`` is carried for harness bookkeeping; the iteration
+    itself is deterministic from the identity start.
     """
 
-    learning_rate: float = 0.1
     max_iter: int = 500
     tol: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
@@ -50,7 +49,8 @@ class IcaConfig:
 
 
 class IcaDivergenceError(RuntimeError):
-    """Unmixing matrix became non-finite or blew up."""
+    """Infomax did not converge: ``max_iter`` iterations ended above ``tol``,
+    or the unmixing update became non-finite."""
 
 
 def _whiten(y, r):
@@ -85,48 +85,87 @@ def _whiten(y, r):
 
 
 def _ica_infomax(z, cfg):
-    """Natural-gradient infomax unmixing of whitened data.
+    """Relative quasi-Newton infomax unmixing of whitened data.
 
     ``z`` must be whitened as :func:`_whiten` returns it: zero-mean rows with
     ``z zᵀ/N = I``. The loop relies on that identity: with ``u = W z``,
     ``u uᵀ/N = W Wᵀ`` and the quadratic term of the log-likelihood is
     ``½‖W‖²_F``, so neither takes a pass over the samples.
 
-    Iterates ``W += lr * (I + tanh(u) u^T/N - W W^T) W`` until the Frobenius
-    weight change drops below ``cfg.tol`` or ``cfg.max_iter`` sweeps elapse.
-    The source model sets its own output scale (its equilibrium variance is
-    not 1), so the returned (r, r) unmixing matrix is row-normalized to give
-    unit-variance outputs on ``z``.
+    From ``W = I`` each iteration forms the relative gradient
+    ``G = W Wᵀ - tanh(u) uᵀ/N - I`` of the loss ``-_model_loglik`` and the H2
+    approximation of its relative Hessian (Picard; Ablin, Cardoso & Gramfort,
+    IEEE TSP 2018), ``h_ij = mean(tanh²(u_i) u_j²)``, and solves it for the
+    direction ``D``: in closed form per 2×2 pair block
+    ``[[h_ij, 1], [1, h_ji]]`` (both diagonal entries shifted up until the
+    block's smallest eigenvalue is at least ``_MIN_PAIR_EIGENVALUE``) and
+    ``D_ii = -G_ii / (h_ii + 1)`` on the diagonal. The update
+    ``W ← W + α D W`` halves ``α`` from 1 until the loss decreases.
+
+    The loop stops when the applied step's Frobenius norm drops below
+    ``cfg.tol``, or when no step lowers the loss once the tried step is
+    already below ``cfg.tol``. The source model sets its own output scale
+    (its equilibrium variance is not 1), so the returned (r, r) unmixing
+    matrix is row-normalized to give unit-variance outputs on ``z``.
+
+    Raises
+    ------
+    IcaDivergenceError
+        If ``cfg.max_iter`` iterations end without meeting ``cfg.tol``, or
+        the step turns non-finite.
     """
     z = np.asarray(z, dtype=float)
     r, n = z.shape
-    w = np.eye(r)
-    lr = cfg.learning_rate
-    min_lr = cfg.learning_rate / 1024.0
-    eye = np.eye(r)
-    prev_loglik = -math.inf
-    u, tu, work = np.empty((r, n)), np.empty((r, n)), np.empty((2, r, n))
-
-    for _ in range(cfg.max_iter):
-        np.matmul(w, z, out=u)
-        np.tanh(u, out=tu)
-        natural_grad = eye + tu @ u.T / n - w @ w.T
-        loglik = _model_loglik(w, u, work)
-        if loglik < prev_loglik and lr > min_lr:
-            lr *= 0.5
-        prev_loglik = loglik
-        delta = lr * natural_grad @ w
-        w_new = w + delta
-        if not np.all(np.isfinite(w_new)) or np.abs(w_new).max() > 1e8:
+    w, eye = np.eye(r), np.eye(r)
+    u, u_try, work = w @ z, np.empty((r, n)), np.empty((2, r, n))
+    loss = -_model_loglik(w, u, work)
+    for it in range(1, cfg.max_iter + 1):
+        tu = np.tanh(u)
+        grad = w @ w.T - tu @ u.T / n - eye
+        np.multiply(tu, tu, out=tu)
+        step = _newton_direction(grad, tu @ np.square(u).T / n) @ w
+        step_norm = float(np.linalg.norm(step))
+        if not math.isfinite(step_norm):
             raise IcaDivergenceError(
-                f"unmixing matrix diverged (lr={lr:g}); reduce the learning rate"
+                f"unmixing step became non-finite at iteration {it}"
             )
-        w = w_new
-        if np.linalg.norm(delta) < cfg.tol:
-            break
-    u = w @ z
-    out_std = u.std(axis=1)
-    return w / np.maximum(out_std, np.finfo(float).tiny)[:, None]
+        while True:
+            w_try = w + step
+            np.matmul(w_try, z, out=u_try)
+            loss_try = -_model_loglik(w_try, u_try, work)
+            if loss_try < loss or step_norm < cfg.tol:
+                break
+            step *= 0.5
+            step_norm *= 0.5
+        if loss_try < loss:
+            w, u, u_try, loss = w_try, u_try, u, loss_try
+        if step_norm < cfg.tol:
+            return w / np.maximum(u.std(axis=1), np.finfo(float).tiny)[:, None]
+    raise IcaDivergenceError(
+        f"infomax did not converge in {cfg.max_iter} iterations "
+        f"(last step norm {step_norm:.3g}, tol {cfg.tol:g})"
+    )
+
+
+def _newton_direction(grad, h):
+    """Solve the H2 relative-Hessian system ``H(D) = -G`` for the direction ``D``.
+
+    Entries ``(i, j)`` and ``(j, i)`` couple through the 2×2 block
+    ``[[h_ij, 1], [1, h_ji]]``; a block whose smallest eigenvalue is below
+    ``_MIN_PAIR_EIGENVALUE`` gets both diagonal entries raised to reach it, so
+    every block is positive definite and ``D`` is a descent direction.
+    """
+    ht = h.T
+    smallest = 0.5 * (h + ht - np.sqrt(np.square(h - ht) + 4.0))
+    shift = np.maximum(_MIN_PAIR_EIGENVALUE - smallest, 0.0)
+    np.fill_diagonal(shift, 0.0)
+    h = h + shift
+    ht = h.T
+    det = h * ht - 1.0
+    np.fill_diagonal(det, 1.0)
+    direction = (grad.T - ht * grad) / det
+    np.fill_diagonal(direction, -np.diag(grad) / (np.diag(h) + 1.0))
+    return direction
 
 
 def _model_loglik(w, u, work):

@@ -40,7 +40,6 @@ solver.mu0 = 20
 solver.iterations = 80
 solver.record_every = 40
 solver.seed = 7
-ica.learning_rate = 0.1
 ica.max_iter = 500
 ica.tol = 1e-07
 ica.seed = 7
@@ -128,10 +127,11 @@ class TestConfigRoundtrip:
         path.write_text("solver.iteration = 5\n")
         with pytest.raises(ValueError, match="solver.iteration"):
             load_experiment(path)
-        # sidecars written while the step rule, the start and the ICA source
-        # model were settable
+        # sidecars written while the step rule, the start, the ICA source
+        # model and the ICA learning rate were settable
         for key, value in (
             ("solver.schedule", "inverse_sqrt"), ("solver.init", "random"), ("ica.n_subgauss", "2"),
+            ("ica.learning_rate", "0.1"),
         ):
             path.write_text(f"{SIDECAR_TEXT}{key} = {value}\n")
             with pytest.raises(ValueError, match=key):

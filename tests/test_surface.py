@@ -51,7 +51,7 @@ CONFIG_FIELDS = [
         "r", "m", "n", "rho", "dof", "snr_db", "polytope", "source_mode", "l1_mode", "seed",
     ]),
     (ldinfomax.SolverConfig, ["epsilon", "mu0", "iterations", "record_every", "seed"]),
-    (ldinfomax.IcaConfig, ["learning_rate", "max_iter", "tol", "seed"]),
+    (ldinfomax.IcaConfig, ["max_iter", "tol", "seed"]),
     (ExperimentConfig, [
         "scenario", "solver", "ica", "algo", "trials", "rho_grid", "output_dir",
     ]),
