@@ -16,7 +16,12 @@ reruns with the same master seed produce byte-identical files.
 """
 
 import argparse
+import contextlib
+import itertools
+import math
+import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,44 +67,119 @@ def cmd_gen(cfg, out_dir):
 
 
 # the LD trials of a chunk run as one stacked solver.run call; a chunk holds
-# as many trials as keep the stacked (T, r+M, N) float64 buffer within this
-# size (T=10 at r=5, M=8, N=2,000), which keeps it in cache
+# at most as many trials as keep the stacked (T, r+M, N) float64 buffer within
+# this size (T=10 at r=5, M=8, N=2,000), which keeps it in cache
 STACK_BYTES = 2 * 1024 * 1024
 
 
-def _trials(cfg, rho, algos):
-    """Run every trial at correlation ``rho`` with each algorithm in ``algos``.
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _trials(cfg, rhos, algos):
+    """Run every trial at each correlation in ``rhos`` with each algorithm in ``algos``.
 
     Trial ``t`` seeds its scenario, solver and ICA with the master seed + ``t``.
-    The trials go in chunks sized by :data:`STACK_BYTES`: first the chunk's
-    scenarios, then all of its LD trials in one stacked :func:`solver.run`,
-    then ICA trial by trial. Yields ``(trial, seed, results)`` in trial
-    order; ``results`` maps each algorithm to ``(curve, final_sinr,
-    objective)`` or to the exception that failed it. A scenario that fails to
+    The trials of each correlation go in chunks (:func:`_chunk`) of at most
+    as many as :data:`STACK_BYTES` allows and at most the trials divided by
+    the usable CPUs, rounded up, so that every CPU gets a share; the chunks
+    run on one worker process per CPU (:func:`_map_chunks`). Yields
+    ``(trial, seed, results)`` in (rho, trial) order, each chunk's once it and
+    every earlier chunk are done; ``results`` maps each algorithm to
+    ``(curve, final_sinr, objective)`` or to the exception that failed it.
+    Each trial's results do not depend on its chunk, so neither does the
+    output on the number of CPUs; only the text of Dykstra's warning does,
+    as it counts the columns of a whole stack.
+    """
+    sc = cfg.scenario
+    cpus = _usable_cpus()
+    size = max(1, min(STACK_BYTES // ((sc.r + sc.m) * sc.n * 8), math.ceil(cfg.trials / cpus)))
+    chunks = [
+        (cfg, rho, range(first, min(first + size, cfg.trials)), algos)
+        for rho in rhos
+        for first in range(0, cfg.trials, size)
+    ]
+    for chunk, results in zip(chunks, _map_chunks(chunks, min(cpus, len(chunks)))):
+        for trial, result in zip(chunk[2], results):
+            yield trial, sc.seed + trial, result
+
+
+def _map_chunks(chunks, workers):
+    """Yield the results of :func:`_chunk` on each of ``chunks``, in order.
+
+    With one worker, or without the ``fork`` start method, the chunks run in
+    this process. Otherwise they run in ``workers`` forked processes, which
+    start from this process's modules as they are; each chunk's warnings are
+    issued again here before its results are yielded.
+    """
+    import multiprocessing  # the pool machinery loads only when a command runs
+
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield from itertools.starmap(_chunk, chunks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a forked worker flushes its copy of what these buffer when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        for results, caught in pool.map(_chunk_in_worker, chunks):
+            _reissue(caught)
+            yield results
+
+
+def _chunk_in_worker(chunk):
+    """Run :func:`_chunk`; return its results and the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        results = _chunk(*chunk)
+    return results, [(w.message, w.filename, w.lineno) for w in caught]
+
+
+def _reissue(caught):
+    """Issue warnings recorded in a worker as their origin issued them there.
+
+    Each goes through this process's filters and its origin module's
+    registry, so a warning shows, repeats or raises as in a one-process run.
+    """
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, filename, lineno in caught:
+        module = modules.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, type(message), filename, lineno)
+        else:
+            warnings.warn_explicit(
+                message, type(message), filename, lineno, module=module.__name__,
+                registry=vars(module).setdefault("__warningregistry__", {}),
+            )
+
+
+def _chunk(cfg, rho, trials, algos):
+    """Run ``trials`` at correlation ``rho``; return each trial's results.
+
+    First the scenarios, then all of their LD trials in one stacked
+    :func:`solver.run`, then ICA trial by trial. A scenario that fails to
     generate fails every algorithm.
     """
     sc = cfg.scenario
-    chunk = max(1, STACK_BYTES // ((sc.r + sc.m) * sc.n * 8))
-    for first in range(0, cfg.trials, chunk):
-        trials = range(first, min(first + chunk, cfg.trials))
-        seeds = [sc.seed + trial for trial in trials]
-        scenarios, results = [], []
-        for seed in seeds:
-            try:
-                scenarios.append(make_scenario(replace(sc, seed=seed, rho=rho)))
-                results.append({})
-            except Exception as exc:  # a failed trial is recorded, not fatal
-                scenarios.append(None)
-                results.append(dict.fromkeys(algos, exc))
-        ok = [i for i, scenario in enumerate(scenarios) if scenario is not None]
-        for algo in algos:
-            if algo == "ld_infomax":
-                done = _ld_trials(cfg, [scenarios[i] for i in ok], [seeds[i] for i in ok])
-            else:
-                done = [_ica_trial(cfg, scenarios[i], seeds[i]) for i in ok]
-            for i, result in zip(ok, done):
-                results[i][algo] = result
-        yield from zip(trials, seeds, results)
+    seeds = [sc.seed + trial for trial in trials]
+    scenarios, results = [], []
+    for seed in seeds:
+        try:
+            scenarios.append(make_scenario(replace(sc, seed=seed, rho=rho)))
+            results.append({})
+        except Exception as exc:  # a failed trial is recorded, not fatal
+            scenarios.append(None)
+            results.append(dict.fromkeys(algos, exc))
+    ok = [i for i, scenario in enumerate(scenarios) if scenario is not None]
+    for algo in algos:
+        if algo == "ld_infomax":
+            done = _ld_trials(cfg, [scenarios[i] for i in ok], [seeds[i] for i in ok])
+        else:
+            done = [_ica_trial(cfg, scenarios[i], seeds[i]) for i in ok]
+        for i, result in zip(ok, done):
+            results[i][algo] = result
+    return results
 
 
 def _ld_trials(cfg, scenarios, seeds):
@@ -145,7 +225,7 @@ def cmd_run(cfg, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves, finals = [], []
-    for trial, seed, results in _trials(cfg, cfg.scenario.rho, (cfg.algo,)):
+    for trial, seed, results in _trials(cfg, (cfg.scenario.rho,), (cfg.algo,)):
         result = results[cfg.algo]
         if isinstance(result, Exception):
             finals.append((trial, seed, f"failed: {result}", "", ""))
@@ -191,29 +271,30 @@ def cmd_sweep(cfg, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     algos = ("ld_infomax", "ica") if cfg.algo == "both" else (cfg.algo,)
     rows, missing = [], []
-    for rho in cfg.rho_grid:
-        per_algo = {algo: [] for algo in algos}
-        for trial, _, results in _trials(cfg, rho, algos):
-            for algo, result in results.items():
-                if isinstance(result, Exception):
-                    print(
-                        f"rho={format_float(rho)} {algo} trial {trial} failed: {result}",
-                        file=sys.stderr,
-                        flush=True,
-                    )
-                else:
-                    per_algo[algo].append(result[1])
-        for algo in algos:
-            vals = np.asarray(per_algo[algo], dtype=float)
-            if vals.size == 0:
-                missing.append(f"rho={format_float(rho)} {algo}")
-                continue
-            mean, std = float(vals.mean()), float(evaluation._population_std(vals))
-            rows.append((float(rho), algo, mean, std))
-            print(
-                f"rho={format_float(rho)} {algo}: mean SINR {mean:.2f} dB (std {std:.2f})",
-                flush=True,
-            )
+    with contextlib.closing(_trials(cfg, cfg.rho_grid, algos)) as trials:
+        for rho in cfg.rho_grid:
+            per_algo = {algo: [] for algo in algos}
+            for trial, _, results in itertools.islice(trials, cfg.trials):
+                for algo, result in results.items():
+                    if isinstance(result, Exception):
+                        print(
+                            f"rho={format_float(rho)} {algo} trial {trial} failed: {result}",
+                            file=sys.stderr,
+                            flush=True,
+                        )
+                    else:
+                        per_algo[algo].append(result[1])
+            for algo in algos:
+                vals = np.asarray(per_algo[algo], dtype=float)
+                if vals.size == 0:
+                    missing.append(f"rho={format_float(rho)} {algo}")
+                    continue
+                mean, std = float(vals.mean()), float(evaluation._population_std(vals))
+                rows.append((float(rho), algo, mean, std))
+                print(
+                    f"rho={format_float(rho)} {algo}: mean SINR {mean:.2f} dB (std {std:.2f})",
+                    flush=True,
+                )
     write_csv(out / "sweep.csv", ("rho", "algo", "sinr_mean_db", "sinr_std_db"), rows)
     save_experiment(cfg, out / "sweep.cfg")
     print(f"wrote sweep.csv, sweep.cfg to {out}")

@@ -83,9 +83,9 @@ class SolverState:
 
 
 class DivergenceError(RuntimeError):
-    """Objective became non-finite; carries the diagnostic state."""
+    """Objective became non-finite; carries the diagnostic state (optional, so it unpickles)."""
 
-    def __init__(self, message, state):
+    def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
 

@@ -1,4 +1,9 @@
 import csv
+import multiprocessing
+import os
+import pickle
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +327,127 @@ class TestSweep:
         main(["sweep", "--config", str(cfg_path), "--out", str(out1)])
         main(["sweep", "--config", str(cfg_path), "--out", str(out2)])
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+def _outputs(out):
+    """Every file under ``out``, by relative path, as bytes."""
+    return {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+
+
+class TestWorkers:
+    """``run`` and ``sweep`` spread trial chunks over worker processes: one
+    worker and two must give the same bytes, and leave no process behind."""
+
+    @pytest.mark.parametrize("error", [
+        solver.DivergenceError("objective became non-finite at iteration 3", {"k": 3}),
+        ica.IcaDivergenceError("infomax did not converge in 3 iterations"),
+    ])
+    def test_trial_errors_cross_the_pool(self, error):
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error) and str(back) == str(error)
+        assert getattr(back, "state", None) == getattr(error, "state", None)
+
+    def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        # five trials, at most four per stack: chunks of 4 and 1 on one worker,
+        # 3 and 2 on two; trial 1's scenario, trial 2's ICA and trial 3's LD fail
+        cfg_path = tmp_path / "exp.cfg"
+        save_experiment(
+            small_experiment(seed=20, algo="both", rho_grid=(0.0, 0.3), trials=5), cfg_path
+        )
+        monkeypatch.setattr(cli, "STACK_BYTES", 4 * (2 + 4) * 200 * 8)
+        real_scenario, real_run, real_ica = cli.make_scenario, solver.run, ica.ica_separate
+
+        def scenario_fails_on_21(scenario_cfg):
+            if scenario_cfg.seed == 21:
+                raise RuntimeError("injected scenario failure")
+            return real_scenario(scenario_cfg)
+
+        def ica_fails_on_22(y, r, cfg):
+            if cfg.seed == 22:
+                raise ica.IcaDivergenceError("injected ICA divergence")
+            return real_ica(y, r, cfg)
+
+        def ld_diverges_on_23(ys, p, cfgs, ground_truth=None):
+            states = real_run(ys, p, cfgs, ground_truth)
+            return [
+                solver.DivergenceError("injected divergence", state) if cfg.seed == 23 else state
+                for cfg, state in zip(cfgs, states)
+            ]
+
+        monkeypatch.setattr(cli, "make_scenario", scenario_fails_on_21)
+        monkeypatch.setattr(ica, "ica_separate", ica_fails_on_22)
+        monkeypatch.setattr(solver, "run", ld_diverges_on_23)
+        seen = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            out = tmp_path / f"w{workers}"
+            codes = [
+                main(["run", "--config", str(cfg_path), "--out", str(out / "ld"),
+                      "--algo", "ld_infomax"]),
+                main(["run", "--config", str(cfg_path), "--out", str(out / "ica"),
+                      "--algo", "ica"]),
+                main(["sweep", "--config", str(cfg_path), "--out", str(out / "sweep")]),
+            ]
+            streams = capsys.readouterr()
+            seen.append((codes, streams.out.replace(str(out), "OUT"), streams.err,
+                         _outputs(out)))
+            assert multiprocessing.active_children() == []
+        assert seen[0] == seen[1]
+        codes, _, err, files = seen[0]
+        assert codes == [0, 0, 0]
+        for line in ("rho=0 ld_infomax trial 1 failed: injected scenario failure",
+                     "rho=0.3 ica trial 2 failed: injected ICA divergence",
+                     "rho=0.3 ld_infomax trial 3 failed: injected divergence"):
+            assert line in err
+        assert b"failed: injected divergence" in files["ld/trials.csv"]
+
+    def test_worker_warnings_reach_the_parent_in_trial_order(self, tmp_path, monkeypatch):
+        # Dykstra's projection on overlapping l1 pairs stops at its sweep cap;
+        # two trials per stack either way, so both runs solve the same stacks
+        scenario = ScenarioConfig(
+            r=5, m=6, n=500, snr_db=30.0, seed=7,
+            polytope=PolytopeSpec(5, ("signed",) * 5, ((0, 1), (1, 2), (2, 3))),
+        )
+        solver_cfg = SolverConfig(iterations=8, record_every=4, mu0=2000.0, seed=7)
+        cfg_path = tmp_path / "exp.cfg"
+        save_experiment(
+            ExperimentConfig(scenario=scenario, solver=solver_cfg, algo="ld_infomax",
+                             trials=4, rho_grid=(0.0, 0.25)),
+            cfg_path,
+        )
+        monkeypatch.setattr(cli, "STACK_BYTES", 2 * (5 + 6) * 500 * 8)
+        seen = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+            seen.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+        assert seen[0] == seen[1]
+        assert len(seen[0]) == 4 and all("Dykstra" in w[0] for w in seen[0])
+
+    def test_a_killed_worker_fails_the_command(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        save_experiment(small_experiment(seed=30, algo="both", trials=4), cfg_path)
+        parent, real = os.getpid(), cli.make_scenario
+
+        def exit_in_worker(scenario_cfg):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(scenario_cfg)
+
+        monkeypatch.setattr(cli, "make_scenario", exit_in_worker)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        codes = []
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        runner = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert codes == [1]
+        assert "error: A process in the process pool was terminated abruptly" in (
+            capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
 
 
 class TestEval:
