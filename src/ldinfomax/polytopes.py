@@ -95,6 +95,30 @@ class PolytopeSpec:
         """Read-only per-coordinate upper bounds, all 1."""
         return _read_only(np.ones(self.dim))
 
+    @cached_property
+    def _clip_bounds(self):
+        """The box's bounds as ``np.clip`` takes them: two scalars when every
+        domain has one tag (a scalar bound clamps several times faster, and
+        differs only in keeping the sign of a -0.0 on a zero lower bound),
+        else two (dim, 1) columns."""
+        if len(set(self.domains)) == 1:
+            return float(self.lower[0]), float(self.upper[0])
+        return self.lower[:, None], self.upper[:, None]
+
+    @cached_property
+    def _route(self):
+        """How :func:`project_columns` projects, with the groups as index lists
+        and a mask of each group's signed coordinates: ``"ball"`` for one group
+        over every coordinate, ``"disjoint"`` for pairwise-disjoint groups
+        (none at all included) and ``"overlap"`` for Dykstra's loop."""
+        groups = [list(g) for g in self.l1_groups]
+        signed = [_read_only(self.lower[g] < 0) for g in groups]
+        if len(set().union(*groups)) < sum(map(len, groups)):
+            return "overlap", groups, signed
+        if groups == [list(range(self.dim))]:
+            return "ball", groups, signed
+        return "disjoint", groups, signed
+
     def __getstate__(self):
         # pickle the declared fields only; the bounds are rebuilt on first use
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -151,7 +175,7 @@ def contains(p, s, tol=FEASIBILITY_TOL):
 
 def _clamp(p, v):
     """Project every column of ``v`` onto the box [p.lower, p.upper]."""
-    return np.clip(v, p.lower[:, None], p.upper[:, None])
+    return np.clip(v, *p._clip_bounds)
 
 
 def _capped_simplex(u):
@@ -255,13 +279,13 @@ def project_columns(p, s):
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != p.dim:
         raise ValueError(f"expected shape ({p.dim}, N), got {s.shape}")
-    groups = [list(g) for g in p.l1_groups]
-    if len(set().union(*groups)) == sum(map(len, groups)):
-        if groups == [list(range(p.dim))]:
-            return _l1_ball(s, p.lower < 0)
+    route, groups, signed = p._route
+    if route == "ball":
+        return _l1_ball(s, signed[0])
+    if route == "disjoint":
         out = _clamp(p, s)
-        for g in groups:
-            out[g] = _l1_ball(s[g], p.lower[g] < 0)
+        for g, signed_g in zip(groups, signed):
+            out[g] = _l1_ball(s[g], signed_g)
         return out
     out, moving = _dykstra_columns(p, s, groups)
     if len(moving):

@@ -295,12 +295,13 @@ def _solve(ys, p, cfgs, truths):
 
     The iterate ``s`` and its running average ``estimate`` are (r, T, N)
     arrays, so ``project_columns`` takes every column of every trial as one
-    (r, T·N) view. A :class:`DivergenceError` carries its trial's state.
+    (r, T·N) view. One (r, T, N) buffer holds the step and then the
+    average's increment. A :class:`DivergenceError` carries its trial's state.
     """
     cfg = cfgs[0]
     ctx = _RunContext.stack([_RunContext(y, c.epsilon, p.dim) for y, c in zip(ys, cfgs)])
     s = np.stack([initialize(y, p, c) for y, c in zip(ys, cfgs)], axis=1)
-    estimate = s.copy()
+    estimate, step = s.copy(), np.empty_like(s)
     stats = _Stats(s.swapaxes(0, 1), ctx)
     states = [SolverState(s=None, k=0, objective=math.nan, estimate=None) for _ in ys]
     finals = [None] * len(ys)
@@ -312,12 +313,13 @@ def _solve(ys, p, cfgs, truths):
 
     record(0)
     for k in range(1, cfg.iterations + 1):
-        step = s + stats.gradient(ctx, cfg.mu0 / math.sqrt(k)).swapaxes(0, 1)
+        stats.gradient(ctx, cfg.mu0 / math.sqrt(k), out=step.swapaxes(0, 1))
+        step += s
         s = project_columns(p, step.reshape(p.dim, -1)).reshape(step.shape)
         stats = _Stats(s.swapaxes(0, 1), ctx)
         beta = (AVERAGING_POWER + 1.0) / (k + AVERAGING_POWER)
         estimate *= 1.0 - beta
-        estimate += beta * s
+        estimate += np.multiply(s, beta, out=step)
         finite = np.isfinite(stats.objective)
         if not finite.all():
             i = np.argmin(finite)  # the first trial that diverged

@@ -44,8 +44,11 @@ def _as_samples(x, name="x"):
     return x
 
 
-def _symmetrize(a):
-    return 0.5 * (a + a.mT)
+def _symmetrize(a, out=None):
+    """``0.5 * (a + aᵀ)`` of each matrix of ``a``, written into ``out`` when given."""
+    out = np.add(a, a.mT, out=out)
+    out *= 0.5
+    return out
 
 
 def _check_symmetric(a, name):
@@ -83,7 +86,12 @@ def _covariance(xc):
 
 
 def _cholesky(a, epsilon, names):
-    """Lower Cholesky factor of symmetric ``a + epsilon*I``, or of each of a stack.
+    """Lower Cholesky factor of symmetric ``a + epsilon*I``, or of each of a stack."""
+    return _factor(a + epsilon * np.eye(a.shape[-1]), epsilon, names)
+
+
+def _factor(shifted, epsilon, names):
+    """Lower Cholesky factor of each matrix of ``shifted``, which holds ``a + epsilon*I``.
 
     The matrices of a stack take their names from ``names`` in turn, so a
     ``(T, 2, r, r)`` stack of pairs is named by a pair of names.
@@ -95,11 +103,11 @@ def _cholesky(a, epsilon, names):
         definite, an invalid numerical state rather than a -inf value.
     """
     try:
-        return np.linalg.cholesky(a + epsilon * np.eye(a.shape[-1]))
+        return np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError as exc:
-        if a.ndim > 2:  # the stack fails as a whole; name its first failing matrix
-            for one, name in zip(a.reshape(-1, *a.shape[-2:]), itertools.cycle(names)):
-                _cholesky(one, epsilon, name)
+        if shifted.ndim > 2:  # the stack fails as a whole; name its first failing matrix
+            for one, name in zip(shifted.reshape(-1, *shifted.shape[-2:]), itertools.cycle(names)):
+                _factor(one, epsilon, name)
         msg = f"{names} + {epsilon}*I is not positive definite: {exc}"
         raise np.linalg.LinAlgError(msg) from exc
 
@@ -109,18 +117,15 @@ def _half_logdet(chol):
     return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def _error_covariance(r_s, r_sw):
-    """``R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ``, symmetrized, from ``r_sw = R_sy L⁻ᵀ``."""
-    return _symmetrize(r_s - r_sw @ r_sw.mT)
-
-
 class _RunContext:
     """Mixture-side quantities of the LD statistics: the stacked buffer ``z = [S_c ; W]``.
 
     ``W = L⁻¹Y_c`` whitens the centered mixtures by the lower Cholesky factor ``L``
     of ``R_y + eps*I``, so that ``R_sy (R_y + eps*I)^{-1} Y_c = (S_c Wᵀ/N) W``.
     A context of one trial holds an (r+M, N) buffer; :meth:`stack` joins the
-    buffers of several trials into one (T, r+M, N) buffer.
+    buffers of several trials into one (T, r+M, N) buffer. The context is also
+    the statistics' workspace: ``shift = eps*I`` and the ``pair`` buffer that
+    :func:`_pair` fills, (2, r, r) for one trial and (T, 2, r, r) for a stack.
     """
 
     def __init__(self, y, epsilon, r):
@@ -133,45 +138,63 @@ class _RunContext:
         yc = _center(y)
         self.z = np.empty((r + yc.shape[0], self.n))
         self.z[r:] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
+        self.shift = self.epsilon * np.eye(r)
+        self.pair = np.empty((2, r, r))
 
     @staticmethod
     def stack(contexts):
         """One context over the trials of ``contexts``, which share N, M and epsilon."""
         ctx = copy.copy(contexts[0])
         ctx.z = np.stack([c.z for c in contexts])
+        ctx.pair = np.empty((len(contexts), *ctx.pair.shape))
         return ctx
+
+
+def _pair(s, ctx):
+    """Write ``R_s`` and ``R_e`` of sources ``s`` into ``ctx.pair``; return ``R_sy L⁻ᵀ``.
+
+    Centers ``s`` into ``ctx.z[..., :r, :]``, so one product gives ``[R_s | R_sy L⁻ᵀ]``,
+    and ``R_e = R_s - (R_sy L⁻ᵀ)(R_sy L⁻ᵀ)ᵀ = R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ``.
+    Both are symmetrized. On a stacked context ``s`` is (T, r, N) and every
+    product runs per trial.
+    """
+    r, z, pair = s.shape[-2], ctx.z, ctx.pair
+    np.subtract(s, np.add.reduce(s, -1, keepdims=True) / ctx.n, out=z[..., :r, :])
+    r_s_sw = z[..., :r, :] @ z.mT / ctx.n
+    r_s, r_sw = _symmetrize(r_s_sw[..., :r], out=pair[..., 0, :, :]), r_s_sw[..., r:]
+    _symmetrize(r_s - r_sw @ r_sw.mT, out=pair[..., 1, :, :])
+    return r_sw
 
 
 class _Stats:
     """LD-mutual information ``objective`` of sources ``s`` and the mixtures of ``ctx``.
 
-    Centers ``s`` into ``ctx.z[..., :r, :]``, so one product gives ``[R_s | R_sy L⁻ᵀ]``
-    and one batched Cholesky the factors of the shifted ``R_s`` and ``R_e``.
-    On a stacked context ``s`` is (T, r, N) and ``objective`` holds one value
-    per trial; every product and factorization runs per trial, so each value
-    is the one its trial gives alone.
+    One batched Cholesky of ``ctx.pair`` (filled by :func:`_pair`, then shifted
+    in place) gives the factors of the shifted ``R_s`` and ``R_e``. On a
+    stacked context ``s`` is (T, r, N) and ``objective`` holds one value per
+    trial; every product and factorization runs per trial, so each value is
+    the one its trial gives alone.
     The gradient reads ``ctx.z``: it holds until the next ``_Stats`` on ``ctx``.
     """
 
     def __init__(self, s, ctx):
-        r, z = s.shape[-2], ctx.z
-        np.subtract(s, s.mean(axis=-1, keepdims=True), out=z[..., :r, :])
-        r_s_sw = z[..., :r, :] @ z.mT / ctx.n
-        r_s, self.r_sw = _symmetrize(r_s_sw[..., :r]), r_s_sw[..., r:]
-        pair = np.stack((r_s, _error_covariance(r_s, self.r_sw)), axis=-3)
-        self.chol = _cholesky(pair, ctx.epsilon, ("R_s", "R_e"))
+        self.r_sw = _pair(s, ctx)
+        shifted = np.add(ctx.pair, ctx.shift, out=ctx.pair)
+        self.chol = _factor(shifted, ctx.epsilon, ("R_s", "R_e"))
         half = _half_logdet(self.chol)
         self.objective = half[..., 0] - half[..., 1]
 
-    def gradient(self, ctx, scale):
+    def gradient(self, ctx, scale, out=None):
         """``scale`` times the gradient, the r x (r+M) map ``C`` applied to ``ctx.z``.
 
         ``C = [A - B | B R_sy L⁻ᵀ] / N``, ``A = (R_s+eps I)^{-1}``, ``B = (R_e+eps I)^{-1}``.
+        The product is written into ``out`` when given.
         """
         inv = np.linalg.inv(self.chol)
         ab = inv.mT @ inv
         a, b = ab[..., 0, :, :], ab[..., 1, :, :]
-        return (scale / ctx.n * np.concatenate((a - b, b @ self.r_sw), axis=-1)) @ ctx.z
+        c = scale / ctx.n * np.concatenate((a - b, b @ self.r_sw), axis=-1)
+        return np.matmul(c, ctx.z, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +257,8 @@ def conditional_error_covariance(s, y, epsilon):
     Returns the symmetrized ``R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ`` of the
     biased sample covariances, the covariance left in ``s`` after linearly
     estimating it from ``y``. The result plus ``eps*I`` is positive definite.
+    Its sum with ``eps*I`` is, bit for bit, the matrix that
+    :func:`ld_mutual_information` and the solver factor.
 
     Parameters
     ----------
@@ -244,10 +269,9 @@ def conditional_error_covariance(s, y, epsilon):
     """
     s, y = _as_pair(s, y)
     _check_epsilon(epsilon)
-    sc, yc = _center(s), _center(y)
-    chol_y = _cholesky(_covariance(yc), epsilon, "R_y")
-    r_sw = solve_triangular(chol_y, _cross(sc, yc).T, lower=True).T
-    return _error_covariance(_covariance(sc), r_sw)
+    ctx = _RunContext(y, epsilon, s.shape[0])
+    _pair(s, ctx)
+    return ctx.pair[1]
 
 
 def ld_mutual_information(s, y, epsilon):

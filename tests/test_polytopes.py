@@ -140,6 +140,44 @@ class TestProjectBox:
         assert np.array_equal(out, [[1.0, 0.5], [-1.0, 0.1]])
 
 
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def per_row_clip(p, v):
+    return np.clip(v, p.lower[:, None], p.upper[:, None])
+
+
+MIXED_DOMAINS = PolytopeSpec(4, ("signed", "nonneg", "signed", "nonneg"))
+
+
+class TestClamp:
+    """A spec whose domains share one tag clamps with scalar bounds, which
+    must give the values of the per-row bounds. (Scalar bounds keep the sign
+    of a -0.0 on a zero lower bound; the solver's and Dykstra's clamps are
+    never given a -0.0.)"""
+
+    @pytest.mark.parametrize("p", [preset(name, 4) for name in polytopes.PRESET_NAMES]
+                             + [MIXED_DOMAINS], ids=[*polytopes.PRESET_NAMES, "mixed_domains"])
+    def test_equals_per_row_clip(self, p):
+        v = np.random.default_rng(30).uniform(-3.0, 3.0, (p.dim, 60))
+        v[:, :4] = [[np.inf, -np.inf, np.nan, -0.0]] * p.dim
+        v[0, 4:8] = [np.nan, np.inf, -np.inf, 0.0]
+        assert isinstance(p._clip_bounds[0], float) == (len(set(p.domains)) == 1)
+        assert np.array_equal(polytopes._clamp(p, v), per_row_clip(p, v), equal_nan=True)
+        if not p.l1_groups:
+            assert np.array_equal(project_columns(p, v), per_row_clip(p, v), equal_nan=True)
+
+    @pytest.mark.parametrize("p", [MIXED_PAIRS, mixed_sparsity_example()],
+                             ids=["mixed_pairs", "mixed"])
+    def test_dykstra_unchanged(self, monkeypatch, p):
+        # Dykstra's loop clamps on every sweep
+        v = np.random.default_rng(31).uniform(-2.0, 2.0, (p.dim, 300))
+        out = project_columns(p, v)
+        monkeypatch.setattr(polytopes, "_clamp", per_row_clip)
+        assert same_bytes(out, project_columns(p, v))
+
+
 class TestProjectL1Group:
     def test_symmetric_face_split(self):
         out = project(preset("l1", 2), np.array([1.0, 1.0]))

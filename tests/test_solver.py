@@ -291,6 +291,24 @@ class TestRun:
             run(scenario.y, p, SolverConfig(iterations=10, seed=3))
         assert isinstance(info.value.state, SolverState)
 
+    def test_real_non_positive_definite_factor_names_the_matrix(self):
+        # noiseless square mixtures: the start is linear in them, so R_e is
+        # zero up to rounding, which a shift of 1e-300 leaves indefinite
+        p = preset("linf", 5)
+        scenario = make_scenario(ScenarioConfig(
+            r=5, m=5, n=300, rho=0.0, snr_db=None, polytope=p, seed=2,
+            source_mode="uniform_iid",
+        ))
+        cfg = SolverConfig(iterations=5, epsilon=1e-300, seed=2)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            run(scenario.y, p, cfg)
+        assert str(info.value) == (
+            "R_e + 1e-300*I is not positive definite: Matrix is not positive definite"
+        )
+        stack = run([scenario.y] * 2, p, [cfg] * 2)
+        for failed in stack:
+            assert type(failed) is type(info.value) and str(failed) == str(info.value)
+
 
 # five coordinates, three overlapping l1 pairs: projected by Dykstra's loop
 MIXED_PAIRS = PolytopeSpec(5, (SIGNED,) * 5, ((0, 1), (1, 2), (2, 3)))
@@ -402,6 +420,34 @@ class TestStack:
         for y_list, truth_list in ((ys, truths[:2]), (ys[:2], truths), (ys[:2], None)):
             with pytest.raises(ValueError, match="one mixture, config and truth each"):
                 run(y_list, p, cfgs, ground_truth=truth_list)
+
+
+class TestWorkspace:
+    """Each solve owns its workspace; the states it returns share no memory."""
+
+    @staticmethod
+    def solves():
+        p = preset("linf_nonneg", 5)
+        scenarios, cfgs = stack_inputs(p, range(50, 53), 15)
+        ys, truths = [sc.y for sc in scenarios], [sc.s_true for sc in scenarios]
+        return [run(ys[0], p, cfgs[0], truths[0]), *run(ys, p, cfgs, truths),
+                run(ys[1], p, cfgs[1], truths[1])]
+
+    def test_states_share_no_memory(self):
+        arrays = [a for state in self.solves() for a in (state.s, state.estimate)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_overwriting_a_state_leaves_a_rerun_unchanged(self):
+        first = self.solves()
+        expected = [(state.s.tobytes(), state.estimate.tobytes()) for state in first]
+        for state in first:
+            state.s[...] = np.nan
+            state.estimate[...] = np.nan
+        again = [(state.s.tobytes(), state.estimate.tobytes()) for state in self.solves()]
+        assert again == expected
+
 
 
 class TestCanonicalOrientation:

@@ -5,9 +5,7 @@ from scipy.linalg import hadamard
 from ldinfomax.stats import (
     LOG_2PI_E,
     _center,
-    _covariance,
     _cross,
-    _error_covariance,
     _RunContext,
     _Stats,
     conditional_error_covariance,
@@ -138,20 +136,17 @@ class TestConditionalErrorCovariance:
         assert np.allclose(conditional_error_covariance(s, y, eps), expected, atol=1e-10)
 
     def test_matches_solver_kernel(self):
-        # the public function solves L⁻¹ R_syᵀ from separately centered blocks;
-        # the solver's kernel reads R_sy L⁻ᵀ off its stacked buffer, so the two
-        # routes agree to rounding only
+        # the public function and the solver's kernel take one route to R_e, so
+        # the kernel factors exactly the matrix the public function returns
         rng = np.random.default_rng(21)
         for _ in range(20):
             r, m, n = rng.integers(2, 6), rng.integers(2, 9), rng.integers(50, 400)
             eps = 10.0 ** rng.uniform(-6, -2)
             y = rng.standard_normal((m, m)) @ rng.standard_normal((m, n)) + 3.0
             s = rng.standard_normal((r, m)) @ y + rng.standard_normal((r, n))
-            ctx = _RunContext(y, eps, r)
-            r_sw = _Stats(s, ctx).r_sw
-            kernel = _error_covariance(_covariance(ctx.z[:r]), r_sw)
+            chol = _Stats(s, _RunContext(y, eps, r)).chol
             public = conditional_error_covariance(s, y, eps)
-            assert np.linalg.norm(public - kernel) <= 1e-12 * np.linalg.norm(kernel)
+            assert np.array_equal(np.linalg.cholesky(public + eps * np.eye(r)), chol[1])
 
     def test_validation(self):
         s, y = np.eye(2), np.eye(2)
