@@ -67,8 +67,8 @@ def cmd_gen(cfg, out_dir):
 
 
 # the LD trials of a chunk run as one stacked solver.run call; a chunk holds
-# at most as many trials as keep the stacked (T, r+M, N) float64 buffer within
-# this size (T=10 at r=5, M=8, N=2,000), which keeps it in cache
+# at most as many trials as keep the stacked (T, r+M+1, N) float64 buffer within
+# this size (T=9 at r=5, M=8, N=2,000), which keeps it in cache
 STACK_BYTES = 2 * 1024 * 1024
 
 
@@ -94,7 +94,7 @@ def _trials(cfg, rhos, algos):
     """
     sc = cfg.scenario
     cpus = _usable_cpus()
-    size = max(1, min(STACK_BYTES // ((sc.r + sc.m) * sc.n * 8), math.ceil(cfg.trials / cpus)))
+    size = max(1, min(STACK_BYTES // ((sc.r + sc.m + 1) * sc.n * 8), math.ceil(cfg.trials / cpus)))
     chunks = [
         (cfg, rho, range(first, min(first + size, cfg.trials)), algos)
         for rho in rhos

@@ -34,7 +34,8 @@ __all__ = [
     "run",
 ]
 
-# iterate j of the running average is weighted proportionally to j**AVERAGING_POWER
+# iterate j >= 1 of the running average is weighted proportionally to
+# j (j+1) ... (j+AVERAGING_POWER-1), about j**AVERAGING_POWER
 AVERAGING_POWER = 6
 
 
@@ -98,14 +99,17 @@ def gradient(s, y, epsilon):
     """Gradient of the LD-mutual information with respect to the sources.
 
     ``(1/N)(R_s+eps I)^{-1} S C - (1/N)(R_e+eps I)^{-1}(S - R_sy (R_y+eps I)^{-1} Y) C``
-    with ``C`` the centering matrix, computed by linearity as one r x (r+M) map
-    ``[A - B | B R_sy (R_y+eps I)^{-1}] / N`` of ``[S C ; Y C]`` (A, B the two inverses).
+    with ``C`` the centering matrix, computed by linearity as one r x (r+M+1) map
+    ``[A - B | B R_sy L⁻ᵀ | -(A - B) m] / N`` of ``[S ; L⁻¹Y C ; 1]`` (A, B the two
+    inverses, L the Cholesky factor of ``R_y+eps I``, m the row means of S, which
+    the ones row subtracts). ``s`` is centered once first, so an offset costs no
+    accuracy.
     """
     s = np.asarray(s, dtype=float)
     ctx = _RunContext(y, epsilon, s.shape[0])
     if s.shape[1] != ctx.n:
         raise ValueError("sources and mixtures must share the sample count")
-    return _Stats(s, ctx).gradient(ctx, 1.0)
+    return _Stats(_center(s), ctx).gradient(ctx, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,39 +297,45 @@ def run(y, p, cfg, ground_truth=None):
 def _solve(ys, p, cfgs, truths):
     """The solver loop over a stack of trials; raises the first failure of any.
 
-    The iterate ``s`` and its running average ``estimate`` are (r, T, N)
-    arrays, so ``project_columns`` takes every column of every trial as one
-    (r, T·N) view. One (r, T, N) buffer holds the step and then the
-    average's increment. A :class:`DivergenceError` carries its trial's state.
+    The iterate ``s`` is an (r, T, N) array, so ``project_columns`` takes every
+    column of every trial as one (r, T·N) view. Each iteration is two products
+    over the context's buffer ``[S ; W ; 1]``: the statistics, and the step's
+    point ``s + mu_k * grad`` written into one (r, T, N) buffer, which then
+    takes the weighted iterate. The running average is kept as its weighted
+    sum and divided by the total weight where it is read. A
+    :class:`DivergenceError` carries its trial's state.
     """
     cfg = cfgs[0]
     ctx = _RunContext.stack([_RunContext(y, c.epsilon, p.dim) for y, c in zip(ys, cfgs)])
     s = np.stack([initialize(y, p, c) for y, c in zip(ys, cfgs)], axis=1)
-    estimate, step = s.copy(), np.empty_like(s)
+    step, weighted, total = np.empty_like(s), np.zeros_like(s), 0.0
     stats = _Stats(s.swapaxes(0, 1), ctx)
     states = [SolverState(s=None, k=0, objective=math.nan, estimate=None) for _ in ys]
     finals = [None] * len(ys)
 
+    def estimate(i):
+        """Trial ``i``'s running average, a new array; the start before the first step."""
+        return weighted[:, i] / total if total else s[:, i].copy()
+
     def record(k):
         for i, state in enumerate(states):
             state.k, state.objective = k, float(stats.objective[i])
-            finals[i] = _record(state, estimate[:, i].copy(), truths[i], ys[i], p)
+            finals[i] = _record(state, estimate(i), truths[i], ys[i], p)
 
     record(0)
     for k in range(1, cfg.iterations + 1):
-        stats.gradient(ctx, cfg.mu0 / math.sqrt(k), out=step.swapaxes(0, 1))
-        step += s
+        stats.gradient(ctx, cfg.mu0 / math.sqrt(k), out=step.swapaxes(0, 1), step=True)
         s = project_columns(p, step.reshape(p.dim, -1)).reshape(step.shape)
         stats = _Stats(s.swapaxes(0, 1), ctx)
-        beta = (AVERAGING_POWER + 1.0) / (k + AVERAGING_POWER)
-        estimate *= 1.0 - beta
-        estimate += np.multiply(s, beta, out=step)
-        finite = np.isfinite(stats.objective)
-        if not finite.all():
-            i = np.argmin(finite)  # the first trial that diverged
+        # the sum's weight on iterate k over its total is (P+1)/(k+P), P = AVERAGING_POWER
+        weight = float(math.prod(range(k, k + AVERAGING_POWER)))
+        weighted += np.multiply(s, weight, out=step)
+        total += weight
+        if not math.isfinite(np.add.reduce(stats.objective)):
+            i = np.argmin(np.isfinite(stats.objective))  # the first trial that diverged
             state = SolverState(
                 s=s[:, i].copy(), k=k, objective=float(stats.objective[i]),
-                estimate=estimate[:, i].copy(), trajectory=states[i].trajectory,
+                estimate=estimate(i), trajectory=states[i].trajectory,
             )
             raise DivergenceError(f"objective became non-finite at iteration {k}", state)
         if k % cfg.record_every == 0 or k == cfg.iterations:
@@ -333,6 +343,6 @@ def _solve(ys, p, cfgs, truths):
     for i, (y, state, final) in enumerate(zip(ys, states, finals)):
         # the last point is recorded at the final estimate: reuse its canonical form
         if final is None:
-            final = canonical_orientation(estimate[:, i].copy(), y, p)
+            final = canonical_orientation(estimate(i), y, p)
         state.s, state.estimate = s[:, i].copy(), final
     return states

@@ -6,10 +6,13 @@ factorizations, the log-determinant (LD) entropy of a covariance matrix,
 the error covariance of the best regularized linear predictor, and the
 LD-mutual information between two sample sets.
 
-The public functions validate their inputs and then call a small private
-kernel, built around one stacked buffer of centered sources and whitened
-mixtures. The solver calls that kernel directly, without the validation,
-so its objective is :func:`ld_mutual_information` bit for bit.
+The public functions validate their inputs, center the sources once and
+then call a small private kernel, built around one stacked buffer of
+sources, whitened mixtures and a row of ones. The solver calls that kernel
+directly on its uncentered iterate, without the validation or the
+centering: the kernel's ``S Sᵀ/N - m mᵀ`` loses digits only as the row means
+grow against the spread, which the polytope bounds for the iterate, so the
+solver's objective agrees with :func:`ld_mutual_information` to rounding.
 """
 
 import copy
@@ -19,7 +22,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 __all__ = [
-    "LOG_2PI_E",
     "conditional_error_covariance",
     "ld_entropy",
     "ld_mutual_information",
@@ -27,7 +29,7 @@ __all__ = [
     "sample_covariance",
 ]
 
-LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
+_LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
 _SYMMETRY_RTOL = 1e-12
 
@@ -114,18 +116,21 @@ def _factor(shifted, epsilon, names):
 
 def _half_logdet(chol):
     """``0.5 * log det`` of each matrix whose lower Cholesky factor is in ``chol``."""
-    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return np.add.reduce(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
 class _RunContext:
-    """Mixture-side quantities of the LD statistics: the stacked buffer ``z = [S_c ; W]``.
+    """Mixture-side quantities of the LD statistics: the stacked buffer ``z = [S ; W ; 1]``.
 
     ``W = L⁻¹Y_c`` whitens the centered mixtures by the lower Cholesky factor ``L``
-    of ``R_y + eps*I``, so that ``R_sy (R_y + eps*I)^{-1} Y_c = (S_c Wᵀ/N) W``.
-    A context of one trial holds an (r+M, N) buffer; :meth:`stack` joins the
-    buffers of several trials into one (T, r+M, N) buffer. The context is also
-    the statistics' workspace: ``shift = eps*I`` and the ``pair`` buffer that
-    :func:`_pair` fills, (2, r, r) for one trial and (T, 2, r, r) for a stack.
+    of ``R_y + eps*I``, so that ``R_sy (R_y + eps*I)^{-1} Y_c = (S Wᵀ/N) W``; the
+    sources ``S`` sit in the first r rows uncentered, and a last row of ones
+    carries their means. A context of one trial holds an (r+M+1, N) buffer;
+    :meth:`stack` joins the buffers of several trials into one (T, r+M+1, N)
+    buffer. The context is also the statistics' workspace: ``eye = I``,
+    ``shift = eps*I``, the ``pair`` buffer that :func:`_pair` fills, (2, r, r)
+    for one trial and (T, 2, r, r) for a stack, and the gradient's map ``c``,
+    (r, r+M+1) or (T, r, r+M+1).
     """
 
     def __init__(self, y, epsilon, r):
@@ -136,10 +141,13 @@ class _RunContext:
             raise ValueError("mixtures contain non-finite entries")
         self.n, self.epsilon = y.shape[1], float(epsilon)
         yc = _center(y)
-        self.z = np.empty((r + yc.shape[0], self.n))
-        self.z[r:] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
-        self.shift = self.epsilon * np.eye(r)
+        self.z = np.empty((r + yc.shape[0] + 1, self.n))
+        self.z[r:-1] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
+        self.z[-1] = 1.0
+        self.eye = np.eye(r)
+        self.shift = self.epsilon * self.eye
         self.pair = np.empty((2, r, r))
+        self.c = np.empty((r, len(self.z)))
 
     @staticmethod
     def stack(contexts):
@@ -147,53 +155,78 @@ class _RunContext:
         ctx = copy.copy(contexts[0])
         ctx.z = np.stack([c.z for c in contexts])
         ctx.pair = np.empty((len(contexts), *ctx.pair.shape))
+        ctx.c = np.empty((len(contexts), *ctx.c.shape))
         return ctx
 
 
 def _pair(s, ctx):
-    """Write ``R_s`` and ``R_e`` of sources ``s`` into ``ctx.pair``; return ``R_sy L⁻ᵀ``.
+    """Write ``R_s`` and ``R_e`` of sources ``s`` into ``ctx.pair``; return ``R_sy L⁻ᵀ`` and the means.
 
-    Centers ``s`` into ``ctx.z[..., :r, :]``, so one product gives ``[R_s | R_sy L⁻ᵀ]``,
-    and ``R_e = R_s - (R_sy L⁻ᵀ)(R_sy L⁻ᵀ)ᵀ = R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ``.
-    Both are symmetrized. On a stacked context ``s`` is (T, r, N) and every
-    product runs per trial.
+    Copies ``s`` into ``ctx.z[..., :r, :]``, so one product gives
+    ``[S Sᵀ/N | Q]`` with ``Q = [R_sy L⁻ᵀ | m]``: every row of ``W`` has zero mean,
+    so ``S Wᵀ/N`` needs no centered ``S``. Then ``R_s = S Sᵀ/N - m mᵀ`` and
+    ``R_e = S Sᵀ/N - Q Qᵀ = R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ``, both symmetric
+    (``S Sᵀ/N`` is symmetrized, and numpy forms ``Q Qᵀ`` and ``m mᵀ`` symmetric).
+    The subtraction of ``m mᵀ`` cancels digits as the means grow against the
+    spread, which the polytope's bounds keep small for the solver's iterate; the
+    public measures center ``s`` first. On a stacked context ``s`` is (T, r, N)
+    and every product runs per trial. The means ``m`` are (…, r, 1).
     """
     r, z, pair = s.shape[-2], ctx.z, ctx.pair
-    np.subtract(s, np.add.reduce(s, -1, keepdims=True) / ctx.n, out=z[..., :r, :])
-    r_s_sw = z[..., :r, :] @ z.mT / ctx.n
-    r_s, r_sw = _symmetrize(r_s_sw[..., :r], out=pair[..., 0, :, :]), r_s_sw[..., r:]
-    _symmetrize(r_s - r_sw @ r_sw.mT, out=pair[..., 1, :, :])
-    return r_sw
+    top = z[..., :r, :]
+    np.copyto(top, s)
+    g = top @ z.mT
+    g /= ctx.n
+    q, m = g[..., r:], g[..., -1:]
+    r_s = _symmetrize(g[..., :r], out=pair[..., 0, :, :])
+    np.subtract(r_s, q @ q.mT, out=pair[..., 1, :, :])
+    r_s -= m * m.mT
+    return q[..., :-1], m
 
 
 class _Stats:
     """LD-mutual information ``objective`` of sources ``s`` and the mixtures of ``ctx``.
 
-    One batched Cholesky of ``ctx.pair`` (filled by :func:`_pair`, then shifted
-    in place) gives the factors of the shifted ``R_s`` and ``R_e``. On a
-    stacked context ``s`` is (T, r, N) and ``objective`` holds one value per
-    trial; every product and factorization runs per trial, so each value is
-    the one its trial gives alone.
-    The gradient reads ``ctx.z``: it holds until the next ``_Stats`` on ``ctx``.
+    ``s`` goes into ``ctx.z`` as it is: the solver passes its iterate, the
+    public measures their centered samples. One batched Cholesky of
+    ``ctx.pair`` (filled by :func:`_pair`, then shifted in place) gives the
+    factors of the shifted ``R_s`` and ``R_e``, and the gradient takes their
+    inverses with one batched inverse of the same pair. On a stacked context
+    ``s`` is (T, r, N) and ``objective`` holds one value per trial; every
+    product and factorization runs per trial, so each value is the one its
+    trial gives alone.
+    The gradient reads ``ctx.z`` and ``ctx.pair``: it holds until the next
+    ``_Stats`` on ``ctx``.
     """
 
     def __init__(self, s, ctx):
-        self.r_sw = _pair(s, ctx)
+        self.r_sw, self.m = _pair(s, ctx)
         shifted = np.add(ctx.pair, ctx.shift, out=ctx.pair)
         self.chol = _factor(shifted, ctx.epsilon, ("R_s", "R_e"))
         half = _half_logdet(self.chol)
         self.objective = half[..., 0] - half[..., 1]
 
-    def gradient(self, ctx, scale, out=None):
-        """``scale`` times the gradient, the r x (r+M) map ``C`` applied to ``ctx.z``.
+    def gradient(self, ctx, scale, out=None, step=False):
+        """``scale`` times the gradient, the r x (r+M+1) map ``C`` applied to ``ctx.z``.
 
-        ``C = [A - B | B R_sy L⁻ᵀ] / N``, ``A = (R_s+eps I)^{-1}``, ``B = (R_e+eps I)^{-1}``.
-        The product is written into ``out`` when given.
+        ``C = [A - B | B R_sy L⁻ᵀ | -(A - B) m] / N``, ``A = (R_s+eps I)^{-1}``,
+        ``B = (R_e+eps I)^{-1}``: the ones row of ``z`` centers ``S``. With
+        ``step`` the map is ``C + [I | 0 | 0]``, so the product is the point
+        ``s + scale * gradient``. It is written into ``out`` when given.
         """
-        inv = np.linalg.inv(self.chol)
-        ab = inv.mT @ inv
+        r, c = self.r_sw.shape[-2], ctx.c
+        ab = np.linalg.inv(ctx.pair)
         a, b = ab[..., 0, :, :], ab[..., 1, :, :]
-        c = scale / ctx.n * np.concatenate((a - b, b @ self.r_sw), axis=-1)
+        # c is built as [B - A | B R_sy L⁻ᵀ | (B - A) m], whose last column needs
+        # B - A as it stands; after the scaling its first block becomes A - B
+        b_a = np.subtract(b, a, out=c[..., :r])
+        np.matmul(b, self.r_sw, out=c[..., r:-1])
+        np.matmul(b_a, self.m, out=c[..., -1:])
+        c *= scale / ctx.n
+        if step:
+            np.subtract(ctx.eye, b_a, out=b_a)
+        else:
+            np.negative(b_a, out=b_a)
         return np.matmul(c, ctx.z, out=out)
 
 
@@ -248,7 +281,7 @@ def ld_entropy(cov, epsilon):
     covariances.
     """
     r = _check_symmetric(cov, "cov").shape[0]
-    return 0.5 * logdet_regularized(cov, epsilon) + 0.5 * r * LOG_2PI_E
+    return 0.5 * logdet_regularized(cov, epsilon) + 0.5 * r * _LOG_2PI_E
 
 
 def conditional_error_covariance(s, y, epsilon):
@@ -258,7 +291,8 @@ def conditional_error_covariance(s, y, epsilon):
     biased sample covariances, the covariance left in ``s`` after linearly
     estimating it from ``y``. The result plus ``eps*I`` is positive definite.
     Its sum with ``eps*I`` is, bit for bit, the matrix that
-    :func:`ld_mutual_information` and the solver factor.
+    :func:`ld_mutual_information` factors; both center ``s`` once and then
+    run the solver's kernel.
 
     Parameters
     ----------
@@ -270,7 +304,7 @@ def conditional_error_covariance(s, y, epsilon):
     s, y = _as_pair(s, y)
     _check_epsilon(epsilon)
     ctx = _RunContext(y, epsilon, s.shape[0])
-    _pair(s, ctx)
+    _pair(_center(s), ctx)
     return ctx.pair[1]
 
 
@@ -290,4 +324,4 @@ def ld_mutual_information(s, y, epsilon):
     """
     s, y = _as_pair(s, y)
     _check_epsilon(epsilon)
-    return float(_Stats(s, _RunContext(y, epsilon, s.shape[0])).objective)
+    return float(_Stats(_center(s), _RunContext(y, epsilon, s.shape[0])).objective)

@@ -1,6 +1,7 @@
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ class TestGradient:
         assert np.all(np.isfinite(gradient(s, y, 1e-5)))
 
     def test_matches_two_solve_formula(self):
-        # the r x (r+M) map equals PAPER.md's two solves against r x N samples;
+        # the r x (r+M+1) map equals PAPER.md's two solves against r x N samples;
         # on the noiseless truth R_e sits below the eps floor
         eps = 1e-5
         for snr_db, truth in ((30.0, False), (None, True)):
@@ -176,14 +177,17 @@ class TestInitialize:
 
 class TestSharedKernel:
     def test_objective_equals_ld_mutual_information(self):
-        # the solver's objective and the validated stats measure run one kernel
+        # the validated stats measure centers s and runs the solver's kernel;
+        # the solver runs it on its uncentered iterate, which the box bounds
         rng = np.random.default_rng(14)
         for _ in range(5):
             s = rng.uniform(size=(3, 60))
             y = rng.standard_normal((5, 60))
             for eps in (1e-5, 1e-2):
+                value = ld_mutual_information(s, y, eps)
                 ctx = solver_mod._RunContext(y, eps, s.shape[0])
-                assert ld_mutual_information(s, y, eps) == solver_mod._Stats(s, ctx).objective
+                assert value == solver_mod._Stats(solver_mod._center(s), ctx).objective
+                assert solver_mod._Stats(s, ctx).objective == pytest.approx(value, rel=1e-12)
 
 
 class TestStep:
@@ -420,6 +424,28 @@ class TestStack:
         for y_list, truth_list in ((ys, truths[:2]), (ys[:2], truths), (ys[:2], None)):
             with pytest.raises(ValueError, match="one mixture, config and truth each"):
                 run(y_list, p, cfgs, ground_truth=truth_list)
+
+
+class TestFoldedStep:
+    """One iteration is the product ``K Z`` with the identity folded into ``K``: it
+    lands where projecting ``s0 + mu0 * gradient(s0)`` lands."""
+
+    @pytest.mark.parametrize("p", [
+        preset("linf_nonneg", 5), preset("l1", 5), MIXED_PAIRS,
+    ], ids=["box", "l1", "mixed"])
+    def test_one_step_equals_projected_gradient_step(self, p):
+        eps = 1e-2  # a well-conditioned start keeps the gradient's rounding small
+        scenarios, cfgs = stack_inputs(p, range(60, 63), 1)
+        cfgs = [replace(c, epsilon=eps) for c in cfgs]
+        expected = []
+        for sc, c in zip(scenarios, cfgs):
+            s0 = initialize(sc.y, p, c)
+            expected.append(project_columns(p, s0 + c.mu0 * gradient(s0, sc.y, eps)))
+        single = [run(sc.y, p, c).s for sc, c in zip(scenarios, cfgs)]
+        stack = [state.s for state in run([sc.y for sc in scenarios], p, cfgs)]
+        for got in (single, stack):
+            for s, want in zip(got, expected):
+                assert np.abs(s - want).max() <= 1e-12
 
 
 class TestWorkspace:

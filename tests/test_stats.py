@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+from ldinfomax.datagen import ScenarioConfig, make_scenario
+from ldinfomax.polytopes import preset
+from ldinfomax.solver import gradient
 from ldinfomax.stats import (
-    LOG_2PI_E,
+    _LOG_2PI_E,
     _center,
     _cross,
+    _pair,
     _RunContext,
     _Stats,
     conditional_error_covariance,
@@ -14,7 +18,13 @@ from ldinfomax.stats import (
     logdet_regularized,
     sample_covariance,
 )
-from oracles import chain_rule_mi, eig_logdet, schur_conditional_cov, two_pass_covariance
+from oracles import (
+    chain_rule_mi,
+    eig_logdet,
+    schur_conditional_cov,
+    two_pass_covariance,
+    two_solve_gradient,
+)
 
 
 class TestSampleCovariance:
@@ -74,12 +84,12 @@ class TestCrossCovariance:
 class TestLdEntropy:
     def test_identity_covariance(self):
         r, eps = 4, 1e-3
-        expected = 0.5 * r * np.log(1 + eps) + 0.5 * r * LOG_2PI_E
+        expected = 0.5 * r * np.log(1 + eps) + 0.5 * r * _LOG_2PI_E
         assert ld_entropy(np.eye(r), eps) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_covariance_floor(self):
         r, eps = 3, 1e-5
-        expected = 0.5 * r * np.log(eps) + 0.5 * r * LOG_2PI_E
+        expected = 0.5 * r * np.log(eps) + 0.5 * r * _LOG_2PI_E
         assert ld_entropy(np.zeros((r, r)), eps) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_eigenvalue_oracle(self):
@@ -87,7 +97,7 @@ class TestLdEntropy:
         a = rng.standard_normal((4, 4))
         cov = a @ a.T
         eps = 1e-4
-        expected = 0.5 * eig_logdet(cov, eps) + 2.0 * LOG_2PI_E
+        expected = 0.5 * eig_logdet(cov, eps) + 2.0 * _LOG_2PI_E
         assert ld_entropy(cov, eps) == pytest.approx(expected, abs=1e-10)
 
     def test_not_positive_definite_is_an_error(self):
@@ -136,16 +146,17 @@ class TestConditionalErrorCovariance:
         assert np.allclose(conditional_error_covariance(s, y, eps), expected, atol=1e-10)
 
     def test_matches_solver_kernel(self):
-        # the public function and the solver's kernel take one route to R_e, so
-        # the kernel factors exactly the matrix the public function returns
+        # the public function centers s and takes the solver kernel's route to
+        # R_e, so the kernel factors exactly the matrix the public function returns
         rng = np.random.default_rng(21)
         for _ in range(20):
             r, m, n = rng.integers(2, 6), rng.integers(2, 9), rng.integers(50, 400)
             eps = 10.0 ** rng.uniform(-6, -2)
             y = rng.standard_normal((m, m)) @ rng.standard_normal((m, n)) + 3.0
             s = rng.standard_normal((r, m)) @ y + rng.standard_normal((r, n))
-            chol = _Stats(s, _RunContext(y, eps, r)).chol
+            chol = _Stats(_center(s), _RunContext(y, eps, r)).chol
             public = conditional_error_covariance(s, y, eps)
+            assert np.array_equal(public, public.T)
             assert np.array_equal(np.linalg.cholesky(public + eps * np.eye(r)), chol[1])
 
     def test_validation(self):
@@ -208,3 +219,52 @@ class TestIdentities:
             s = rng.standard_normal((r, n))
             y = rng.standard_normal((m, n))
             assert ld_mutual_information(s, y, 1e-5) >= -1e-9
+
+
+def two_pass_pair(s, y, epsilon):
+    """``R_s`` and ``R_e`` from the two-pass covariance of the stacked samples."""
+    r = s.shape[0]
+    joint = two_pass_covariance(np.vstack([s, y]))
+    r_s, r_sy, r_y = joint[:r, :r], joint[:r, r:], joint[r:, r:]
+    return r_s, r_s - r_sy @ np.linalg.solve(r_y + epsilon * np.eye(len(r_y)), r_sy.T)
+
+
+class TestUncenteredKernel:
+    """The solver's kernel reads its iterate uncentered, as ``S Sᵀ/N - m mᵀ``; the
+    public measures center their samples first."""
+
+    @staticmethod
+    def scenario():
+        return make_scenario(ScenarioConfig(
+            r=5, m=8, n=2000, rho=0.5, snr_db=30.0, polytope=preset("linf_nonneg", 5), seed=3,
+        ))
+
+    def test_box_corner_iterate(self):
+        # rows pressed into a corner of the box: means near 1 - 1e-3, spread 1e-3
+        scenario, eps = self.scenario(), 1e-5
+        s = (1.0 - 1.5e-3) + 1e-3 * scenario.s_true
+        assert np.abs(s.mean(axis=1) - (1.0 - 1e-3)).max() < 2e-4
+        ctx = _RunContext(scenario.y, eps, s.shape[0])
+        _pair(s, ctx)
+        for kernel, oracle in zip(ctx.pair, two_pass_pair(s, scenario.y, eps)):
+            assert np.abs(kernel - oracle).max() <= 1e-12
+        objective = _Stats(s, _RunContext(scenario.y, eps, s.shape[0])).objective
+        assert objective == pytest.approx(ld_mutual_information(s, scenario.y, eps), abs=1e-9)
+
+    def test_public_measures_on_offset_rows(self):
+        # rows of mean 1e3 and unit spread, in the sources and in the mixtures:
+        # each public measure keeps its oracle tolerance
+        rng = np.random.default_rng(22)
+        eps = 1e-5
+        y = 1e3 + rng.standard_normal((5, 200))
+        s = 1e3 + rng.standard_normal((3, 5)) @ (y - 1e3) / 3 + 0.5 * rng.standard_normal((3, 200))
+        assert np.abs(s.mean(axis=1) - 1e3).max() < 1.0
+        assert np.allclose(sample_covariance(s), two_pass_covariance(s), atol=1e-12)
+        joint = two_pass_covariance(np.vstack([s, y]))
+        expected = schur_conditional_cov(joint[:3, :3], joint[3:, 3:], joint[:3, 3:], eps)
+        assert np.allclose(conditional_error_covariance(s, y, eps), expected, atol=1e-10)
+        assert ld_mutual_information(s, y, eps) == pytest.approx(
+            chain_rule_mi(s, y, eps), abs=1e-9
+        )
+        ref = two_solve_gradient(s, y, eps)
+        assert np.linalg.norm(gradient(s, y, eps) - ref) <= 1e-10 * np.linalg.norm(ref)

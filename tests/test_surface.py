@@ -41,8 +41,8 @@ SUBMODULE_NAMES = {
         "canonical_orientation", "gradient", "initialize", "run",
     ],
     "stats": [
-        "LOG_2PI_E", "conditional_error_covariance", "ld_entropy",
-        "ld_mutual_information", "logdet_regularized", "sample_covariance",
+        "conditional_error_covariance", "ld_entropy", "ld_mutual_information",
+        "logdet_regularized", "sample_covariance",
     ],
 }
 
