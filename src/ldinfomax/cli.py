@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, ica, solver
+from . import evaluation, ica, solver, stats
 from .config import (
     ExperimentConfig,
     format_float,
@@ -38,10 +38,10 @@ from .config import (
 from .datagen import make_scenario, save_scenario
 from .polytopes import contains
 
-__all__ = ["main", "cmd_gen", "cmd_run", "cmd_sweep", "cmd_eval"]
+__all__ = ["main"]
 
 
-def cmd_gen(cfg, out_dir):
+def _cmd_gen(cfg, out_dir):
     """Generate one scenario and write its matrices and sidecar."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -66,12 +66,6 @@ def cmd_gen(cfg, out_dir):
     return 0
 
 
-# the LD trials of a chunk run as one stacked solver.run call; a chunk holds
-# at most as many trials as keep the stacked (T, r+M+1, N) float64 buffer within
-# this size (T=9 at r=5, M=8, N=2,000), which keeps it in cache
-STACK_BYTES = 2 * 1024 * 1024
-
-
 def _usable_cpus():
     """The number of CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -81,10 +75,12 @@ def _trials(cfg, rhos, algos):
     """Run every trial at each correlation in ``rhos`` with each algorithm in ``algos``.
 
     Trial ``t`` seeds its scenario, solver and ICA with the master seed + ``t``.
-    The trials of each correlation go in chunks (:func:`_chunk`) of at most
-    as many as :data:`STACK_BYTES` allows and at most the trials divided by
-    the usable CPUs, rounded up, so that every CPU gets a share; the chunks
-    run on one worker process per CPU (:func:`_map_chunks`). Yields
+    The trials of each correlation go in chunks (:func:`_chunk`), whose LD
+    trials run as one stacked :func:`solver.run`: at most as many as keep the
+    stacked (T, r+M+1, N) float64 buffer within :data:`stats.CACHE_BYTES`
+    (9 at r=5, M=8, N=2,000), and at most the trials divided by the usable
+    CPUs, rounded up, so that every CPU gets a share; the chunks run on one
+    worker process per CPU (:func:`_map_chunks`). Yields
     ``(trial, seed, results)`` in (rho, trial) order, each chunk's once it and
     every earlier chunk are done; ``results`` maps each algorithm to
     ``(curve, final_sinr, objective)`` or to the exception that failed it.
@@ -94,7 +90,8 @@ def _trials(cfg, rhos, algos):
     """
     sc = cfg.scenario
     cpus = _usable_cpus()
-    size = max(1, min(STACK_BYTES // ((sc.r + sc.m + 1) * sc.n * 8), math.ceil(cfg.trials / cpus)))
+    fit = stats.CACHE_BYTES // ((sc.r + sc.m + 1) * sc.n * 8)
+    size = max(1, min(fit, math.ceil(cfg.trials / cpus)))
     chunks = [
         (cfg, rho, range(first, min(first + size, cfg.trials)), algos)
         for rho in rhos
@@ -215,7 +212,7 @@ def _ica_trial(cfg, scenario, seed):
         return exc
 
 
-def cmd_run(cfg, out_dir):
+def _cmd_run(cfg, out_dir):
     """Run seeded trials of one algorithm; write convergence and finals CSVs.
 
     Returns 1 when no trial succeeded, else 0.
@@ -260,7 +257,7 @@ def cmd_run(cfg, out_dir):
     return 0
 
 
-def cmd_sweep(cfg, out_dir):
+def _cmd_sweep(cfg, out_dir):
     """Sweep source correlation for each algorithm; write the comparison CSV.
 
     A failed trial, including one whose scenario fails to generate, is logged
@@ -304,7 +301,7 @@ def cmd_sweep(cfg, out_dir):
     return 0
 
 
-def cmd_eval(estimate_path, truth_path, out_dir):
+def _cmd_eval(estimate_path, truth_path, out_dir):
     """Score an estimate against ground truth; print and write the report."""
     # ndmin=2 reads a one-sample file as r x 1, not 1 x r
     s_est = np.loadtxt(estimate_path, delimiter=",", ndmin=2)
@@ -378,16 +375,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "eval":
-            return cmd_eval(args.estimate, args.truth, args.out or "out")
+            return _cmd_eval(args.estimate, args.truth, args.out or "out")
         cfg = load_experiment(args.config) if args.config else ExperimentConfig()
         cfg = _apply_overrides(cfg, args)
         out_dir = args.out or cfg.output_dir
         if args.command == "gen":
-            return cmd_gen(cfg, out_dir)
+            return _cmd_gen(cfg, out_dir)
         if args.command == "run":
-            return cmd_run(cfg, out_dir)
+            return _cmd_run(cfg, out_dir)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir)
+            return _cmd_sweep(cfg, out_dir)
         raise ValueError(f"unknown command {args.command!r}")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,14 +9,15 @@ overlapping groups.
 The domain tags become bounds only through ``PolytopeSpec.lower`` and
 ``upper``. When the groups are pairwise disjoint the projection is exact in
 closed form: a box clamp, then per group a capped-simplex projection of the
-magnitudes with the signs put back. Overlapping groups use Dykstra's
-alternating projection with correction terms, which converges to the exact
-Euclidean projection onto the intersection. Dykstra's loop runs each column
-until that column's own first quiet sweep and then drops it from the working
-set, so a column's result does not depend on the other columns. Columns
-still moving after ``DYKSTRA_MAX_SWEEPS`` are returned as they stand, and
-``project_columns`` warns when any of them is infeasible. A single point is
-projected as a (dim, 1) column.
+magnitudes with the signs put back, whose threshold is Michelot's fixed
+point (1986). Overlapping groups use Dykstra's alternating projection with
+correction terms, which converges to the exact Euclidean projection onto the
+intersection. Dykstra's loop runs each column until that column's own first
+quiet sweep and then drops it from the working set, so a column's result
+does not depend on the other columns. Columns still moving after
+``DYKSTRA_MAX_SWEEPS`` are returned as they stand, and ``project_columns``
+warns when any of them is infeasible. A single point is projected as a
+(dim, 1) column.
 """
 
 import warnings
@@ -194,15 +195,34 @@ def _capped_simplex(u):
 
 
 def _simplex_threshold(u):
-    """Per-column theta with sum(max(u - theta, 0)) == 1, by sorting
-    (Duchi et al. 2008)."""
-    desc = np.sort(u, axis=0)[::-1]
-    css = desc.cumsum(axis=0)
-    css -= 1.0
-    css /= np.arange(1, len(u) + 1)[:, None]
-    # rho = largest prefix length with desc > css; css at that index is theta
-    rho = (desc > css).sum(axis=0) - 1
-    return css[rho, np.arange(u.shape[1])]
+    """Per-column theta with sum(max(u - theta, 0)) == 1, by Michelot's fixed
+    point (1986).
+
+    ``u`` is nonnegative with every column summing to more than 1. theta
+    starts at ``(sum(u) - 1) / len(u)``; each pass recomputes it over the
+    entries kept above every theta so far, and the loop ends at the first pass
+    that keeps every column's set as it was. A column whose set one pass keeps
+    is at its fixed point, and no column drops its largest entry, so there are
+    at most ``len(u)`` passes, each a few vectorized passes over ``u``.
+    That last holds in exact arithmetic: at column sums past about 4.5e15,
+    ``sum - 1`` rounds to the sum and theta can reach the largest entry. A
+    column whose set rounding empties keeps its last theta, which is finite
+    and leaves the column at zero, a feasible point.
+    """
+    theta = np.add.reduce(u, axis=0)
+    theta -= 1.0
+    theta /= len(u)
+    kept = np.greater(u, theta)
+    above, part = np.empty_like(kept), np.empty_like(u)
+    total = kept.size
+    while (left := np.count_nonzero(kept)) < total:
+        total = left
+        count = np.add.reduce(kept, axis=0, dtype=float)
+        excess = np.add.reduce(np.multiply(u, kept, out=part), axis=0)
+        excess -= 1.0
+        np.divide(excess, count, out=theta, where=count > 0.0)
+        kept &= np.greater(u, theta, out=above)
+    return theta
 
 
 def _l1_ball(v, signed):

@@ -13,10 +13,13 @@ directly on its uncentered iterate, without the validation or the
 centering: the kernel's ``S Sᵀ/N - m mᵀ`` loses digits only as the row means
 grow against the spread, which the polytope bounds for the iterate, so the
 solver's objective agrees with :func:`ld_mutual_information` to rounding.
+The kernel's two products over the samples run on column blocks of that
+buffer sized by :data:`CACHE_BYTES`, so a large N streams through the cache.
 """
 
 import copy
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -32,6 +35,12 @@ __all__ = [
 _LOG_2PI_E = float(np.log(2.0 * np.pi * np.e))
 
 _SYMMETRY_RTOL = 1e-12
+
+# the working-set budget of one buffer over the samples: the kernel cuts the
+# (r+M+1)-row buffer of one trial into the fewest equal column blocks that each
+# fit it (one block at r=5, M=8, N=2,000, two at N=20,000), and the CLI stacks
+# at most as many trials as fit it (9 at r=5, M=8, N=2,000)
+CACHE_BYTES = 2 * 1024 * 1024
 
 
 def _as_samples(x, name="x"):
@@ -127,10 +136,14 @@ class _RunContext:
     sources ``S`` sit in the first r rows uncentered, and a last row of ones
     carries their means. A context of one trial holds an (r+M+1, N) buffer;
     :meth:`stack` joins the buffers of several trials into one (T, r+M+1, N)
-    buffer. The context is also the statistics' workspace: ``eye = I``,
-    ``shift = eps*I``, the ``pair`` buffer that :func:`_pair` fills, (2, r, r)
-    for one trial and (T, 2, r, r) for a stack, and the gradient's map ``c``,
-    (r, r+M+1) or (T, r, r+M+1).
+    buffer. ``blocks`` cuts the N columns into the fewest equal slices whose
+    (r+M+1)-row block of one trial fits :data:`CACHE_BYTES`; a stack keeps its
+    trials' blocks. ``top`` views the sources' rows of ``z``, and ``parts``
+    holds per block its slice and its columns of ``top`` and of ``z``, built
+    once so that an iteration slices nothing. The context is also the
+    statistics' workspace: ``eye = I``, ``shift = eps*I``, the ``pair``
+    buffer that :func:`_pair` fills, (2, r, r) for one trial and (T, 2, r, r)
+    for a stack, and the gradient's map ``c``, (r, r+M+1) or (T, r, r+M+1).
     """
 
     def __init__(self, y, epsilon, r):
@@ -144,16 +157,25 @@ class _RunContext:
         self.z = np.empty((r + yc.shape[0] + 1, self.n))
         self.z[r:-1] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
         self.z[-1] = 1.0
+        fit = max(1, CACHE_BYTES // (len(self.z) * self.z.itemsize))  # columns per budget
+        size = math.ceil(self.n / math.ceil(self.n / fit))
+        self.blocks = [slice(i, min(i + size, self.n)) for i in range(0, self.n, size)]
+        self._view_blocks(r)
         self.eye = np.eye(r)
         self.shift = self.epsilon * self.eye
         self.pair = np.empty((2, r, r))
         self.c = np.empty((r, len(self.z)))
+
+    def _view_blocks(self, r):
+        self.top = self.z[..., :r, :]
+        self.parts = [(cols, self.top[..., cols], self.z[..., cols]) for cols in self.blocks]
 
     @staticmethod
     def stack(contexts):
         """One context over the trials of ``contexts``, which share N, M and epsilon."""
         ctx = copy.copy(contexts[0])
         ctx.z = np.stack([c.z for c in contexts])
+        ctx._view_blocks(len(ctx.eye))
         ctx.pair = np.empty((len(contexts), *ctx.pair.shape))
         ctx.c = np.empty((len(contexts), *ctx.c.shape))
         return ctx
@@ -170,12 +192,15 @@ def _pair(s, ctx):
     The subtraction of ``m mᵀ`` cancels digits as the means grow against the
     spread, which the polytope's bounds keep small for the solver's iterate; the
     public measures center ``s`` first. On a stacked context ``s`` is (T, r, N)
-    and every product runs per trial. The means ``m`` are (…, r, 1).
+    and every product runs per trial. With several column blocks in ``ctx``
+    the product is summed over them. The means ``m`` are (…, r, 1).
     """
-    r, z, pair = s.shape[-2], ctx.z, ctx.pair
-    top = z[..., :r, :]
-    np.copyto(top, s)
+    r, pair = s.shape[-2], ctx.pair
+    np.copyto(ctx.top, s)
+    (_, top, z), *rest = ctx.parts
     g = top @ z.mT
+    for _, top, z in rest:
+        g += top @ z.mT
     g /= ctx.n
     q, m = g[..., r:], g[..., -1:]
     r_s = _symmetrize(g[..., :r], out=pair[..., 0, :, :])
@@ -212,7 +237,8 @@ class _Stats:
         ``C = [A - B | B R_sy L⁻ᵀ | -(A - B) m] / N``, ``A = (R_s+eps I)^{-1}``,
         ``B = (R_e+eps I)^{-1}``: the ones row of ``z`` centers ``S``. With
         ``step`` the map is ``C + [I | 0 | 0]``, so the product is the point
-        ``s + scale * gradient``. It is written into ``out`` when given.
+        ``s + scale * gradient``. It is written into ``out`` when given, one
+        column block of ``ctx`` at a time.
         """
         r, c = self.r_sw.shape[-2], ctx.c
         ab = np.linalg.inv(ctx.pair)
@@ -227,7 +253,11 @@ class _Stats:
             np.subtract(ctx.eye, b_a, out=b_a)
         else:
             np.negative(b_a, out=b_a)
-        return np.matmul(c, ctx.z, out=out)
+        if out is None:
+            out = np.empty((*c.shape[:-1], ctx.n))
+        for cols, _, z in ctx.parts:
+            np.matmul(c, z, out=out[..., cols])
+        return out
 
 
 # ---------------------------------------------------------------------------

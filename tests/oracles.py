@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it checks: covariances
 are accumulated in two passes, log-determinants go through eigenvalues,
 conditional covariances through the joint-matrix inverse, projections
-through active-set enumeration over the polytope's H-representation, and
-alignments and box reflections through exhaustive search.
+through active-set enumeration over the polytope's H-representation, the
+simplex threshold through a sort, and alignments and box reflections through
+exhaustive search.
 """
 
 import itertools
@@ -146,6 +147,21 @@ class QpProjectionOracle:
         if best is None:
             raise RuntimeError("oracle found no feasible candidate")
         return best
+
+
+def sort_simplex_threshold(u):
+    """Per-column theta with ``sum(max(u - theta, 0)) == 1``, by sorting (Duchi
+    et al., ICML 2008).
+
+    Each column is sorted in descending order; ``css[j]`` is the sum of its
+    ``j + 1`` largest entries less 1, over ``j + 1``, and theta is ``css`` at
+    the longest prefix whose last entry still exceeds it.
+    """
+    u = np.asarray(u, dtype=float)
+    desc = np.sort(u, axis=0)[::-1]
+    css = (desc.cumsum(axis=0) - 1.0) / np.arange(1, len(u) + 1)[:, None]
+    rho = (desc > css).sum(axis=0) - 1
+    return css[rho, np.arange(u.shape[1])]
 
 
 def exhaustive_alignment_mse(s_est, s_true):

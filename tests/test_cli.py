@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ldinfomax import cli, ica, solver
+from ldinfomax import cli, ica, solver, stats
 from ldinfomax.cli import main
 from ldinfomax.config import (
     ExperimentConfig,
@@ -354,7 +354,7 @@ class TestWorkers:
         save_experiment(
             small_experiment(seed=20, algo="both", rho_grid=(0.0, 0.3), trials=5), cfg_path
         )
-        monkeypatch.setattr(cli, "STACK_BYTES", 4 * (2 + 4 + 1) * 200 * 8)
+        monkeypatch.setattr(stats, "CACHE_BYTES", 4 * (2 + 4 + 1) * 200 * 8)
         real_scenario, real_run, real_ica = cli.make_scenario, solver.run, ica.ica_separate
 
         def scenario_fails_on_21(scenario_cfg):
@@ -415,7 +415,7 @@ class TestWorkers:
                              trials=4, rho_grid=(0.0, 0.25)),
             cfg_path,
         )
-        monkeypatch.setattr(cli, "STACK_BYTES", 2 * (5 + 6 + 1) * 500 * 8)
+        monkeypatch.setattr(stats, "CACHE_BYTES", 2 * (5 + 6 + 1) * 500 * 8)
         seen = []
         for workers in (1, 2):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)

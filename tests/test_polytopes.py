@@ -12,7 +12,7 @@ from ldinfomax.polytopes import (
     preset,
     project_columns,
 )
-from oracles import QpProjectionOracle
+from oracles import QpProjectionOracle, sort_simplex_threshold
 
 
 def mixed_sparsity_example():
@@ -204,6 +204,85 @@ class TestProjectL1Group:
             assert np.abs(project(p, v) - oracle.project(v)).max() <= 1e-12
         with pytest.raises(AssertionError, match="Dykstra"):
             project(MIXED_PAIRS, rng.uniform(-2, 2, MIXED_PAIRS.dim))
+
+
+class CountingNumpy:
+    """numpy with its ``greater`` calls counted: one per pass of the threshold."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def greater(self, *args, **kwargs):
+        self.passes += 1
+        return np.greater(*args, **kwargs)
+
+
+def slow_column(r):
+    """A column from which each pass of the fixed point drops one entry: every
+    entry sits just below the threshold of the entries above it, by gaps that
+    grow fast enough that the next pass keeps the entry above it."""
+    d, total, gap = [2.0], 2.0, 1e-12
+    for m in range(2, r + 1):
+        gap *= m
+        d.append((total - 1.0) / (m - 1) - gap)
+        total += d[-1]
+    return np.array(d)[:, None]
+
+
+def over_budget_columns(r, rng):
+    """Nonnegative columns summing to more than 1: random ones, ones barely
+    over, ties, zeros, one dominant entry, entries equal to the threshold
+    (0.75, 0.75 and the rest 0.25 have theta 0.25), and :func:`slow_column`."""
+    random = rng.exponential(size=(r, 400))
+    random *= (1.0 + rng.exponential(3.0, 400)) / random.sum(axis=0)
+    barely = rng.uniform(size=(r, 400))
+    barely *= (1.0 + 1e-9) / barely.sum(axis=0)
+    ties = np.repeat(rng.uniform(0.3, 1.0, (r // 2 + 1, 1)), 2, axis=0)[:r]
+    zeros = np.zeros((r, 1))
+    zeros[0] = 1.5
+    dominant = np.full((r, 1), 0.1)
+    dominant[-1] = 5.0
+    at_theta = np.full((r, 1), 0.25)
+    at_theta[:2] = 0.75
+    cols = np.hstack([
+        random, barely, ties, np.full((r, 1), 2.0 / r), zeros, dominant, at_theta, slow_column(r),
+    ])
+    return cols[:, cols.sum(axis=0) > 1.0]
+
+
+class TestSimplexThreshold:
+    """Michelot's fixed point against the sort formula of ``oracles``."""
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_matches_sort_oracle(self, r, monkeypatch):
+        u = over_budget_columns(r, np.random.default_rng(40 + r))
+        counting = CountingNumpy()
+        monkeypatch.setattr(polytopes, "np", counting)
+        theta = polytopes._simplex_threshold(u.copy())
+        monkeypatch.undo()
+        # theta is (sum - 1) / count, so its rounding scales with the column sum
+        ulp = np.spacing(u.sum(axis=0))
+        assert np.all(np.abs(theta - sort_simplex_threshold(u)) <= 4 * ulp)
+        x = np.maximum(u - theta, 0.0)
+        assert np.all(np.abs(x.sum(axis=0) - 1.0) <= 4 * ulp)
+        assert contains(preset("l1_nonneg", r), polytopes._capped_simplex(u.copy()))
+        # at most r passes, and the slow column takes every one of them
+        assert counting.passes == r
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_huge_equal_entries_stay_finite(self, r):
+        # sum - 1 rounds to the sum, so the first theta equals every entry
+        # and keeps none of them
+        u = np.full((r, 3), 1e16)
+        theta = polytopes._simplex_threshold(u.copy())
+        assert np.all(np.isfinite(theta))
+        for name in ("l1", "l1_nonneg"):
+            out = project_columns(preset(name, r), u)
+            assert np.all(np.isfinite(out))
+            assert contains(preset(name, r), out)
 
 
 class TestProject:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ldinfomax.solver as solver_mod
+from ldinfomax import stats
 from ldinfomax.config import write_trajectory_csv
 from ldinfomax.datagen import ScenarioConfig, make_scenario
 from ldinfomax.evaluation import sinr_db
@@ -356,21 +357,36 @@ def poison_stats(monkeypatch, real, marker, after, mode):
     monkeypatch.setattr(solver_mod, "_Stats", Poisoned)
 
 
+def assert_stack_equals_single_solves(p, iterations):
+    scenarios, cfgs = stack_inputs(p, range(30, 34), iterations)
+    truths = [sc.s_true for sc in scenarios]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # Dykstra's sweep cap
+        single = [run(sc.y, p, c, ground_truth=sc.s_true) for sc, c in zip(scenarios, cfgs)]
+        stack = run([sc.y for sc in scenarios], p, cfgs, ground_truth=truths)
+    assert len(stack) == len(single)
+    for a, b in zip(stack, single):
+        assert_same_solve(a, b)
+    assert stack.k == len(single) * iterations
+
+
+STACK_CASES = pytest.mark.parametrize("p, iterations", [
+    (preset("linf_nonneg", 5), 40), (preset("l1", 5), 40), (MIXED_PAIRS, 6),
+], ids=["box", "l1", "mixed"])
+
+
 class TestStack:
-    @pytest.mark.parametrize("p, iterations", [
-        (preset("linf_nonneg", 5), 40), (preset("l1", 5), 40), (MIXED_PAIRS, 6),
-    ], ids=["box", "l1", "mixed"])
+    @STACK_CASES
     def test_equals_single_solves(self, p, iterations):
-        scenarios, cfgs = stack_inputs(p, range(30, 34), iterations)
-        truths = [sc.s_true for sc in scenarios]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # Dykstra's sweep cap
-            single = [run(sc.y, p, c, ground_truth=sc.s_true) for sc, c in zip(scenarios, cfgs)]
-            stack = run([sc.y for sc in scenarios], p, cfgs, ground_truth=truths)
-        assert len(stack) == len(single)
-        for a, b in zip(stack, single):
-            assert_same_solve(a, b)
-        assert stack.k == len(single) * iterations
+        assert_stack_equals_single_solves(p, iterations)
+
+    @STACK_CASES
+    def test_equals_single_solves_in_column_blocks(self, monkeypatch, p, iterations):
+        # stack_inputs' N=300 samples in three blocks of 100 per trial
+        monkeypatch.setattr(stats, "CACHE_BYTES", 100 * (5 + 8 + 1) * 8)
+        y = stack_inputs(p, [30], 0)[0][0].y
+        assert len(stats._RunContext(y, 1e-5, 5).blocks) == 3
+        assert_stack_equals_single_solves(p, iterations)
 
     @pytest.mark.parametrize("mode", ["setup", "cholesky", "divergence", "record"])
     def test_failing_trial_leaves_the_stack(self, monkeypatch, mode):

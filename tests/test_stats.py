@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+from ldinfomax import stats
 from ldinfomax.datagen import ScenarioConfig, make_scenario
 from ldinfomax.polytopes import preset
 from ldinfomax.solver import gradient
@@ -268,3 +269,44 @@ class TestUncenteredKernel:
         )
         ref = two_solve_gradient(s, y, eps)
         assert np.linalg.norm(gradient(s, y, eps) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class TestColumnBlocks:
+    """The kernel's two products run over column blocks sized by ``CACHE_BYTES``."""
+
+    @staticmethod
+    def inputs():
+        scenario = make_scenario(ScenarioConfig(
+            r=3, m=5, n=500, rho=0.5, snr_db=30.0, polytope=preset("linf_nonneg", 3), seed=9,
+        ))
+        noise = np.random.default_rng(9).normal(0.0, 0.05, scenario.s_true.shape)
+        return scenario.s_true + noise, scenario.y
+
+    def test_one_block_is_one_product(self):
+        s, y = self.inputs()
+        ctx = _RunContext(y, 1e-5, 3)
+        assert ctx.blocks == [slice(0, 500)]
+        r_sw, _ = _pair(s, ctx)
+        product = r_sw.base  # _pair's product, of which R_sy L⁻ᵀ and m are views
+        assert product.shape == (3, 3 + 5 + 1)
+        assert np.array_equal(product, ctx.z[:3] @ ctx.z.T / 500)
+
+    def test_three_blocks_match_one(self, monkeypatch):
+        s, y = self.inputs()
+        eps, one = 1e-5, _RunContext(y, 1e-5, 3)
+        monkeypatch.setattr(stats, "CACHE_BYTES", 200 * (3 + 5 + 1) * 8)
+        blocked = _RunContext(y, eps, 3)
+        assert [b.stop - b.start for b in blocked.blocks] == [167, 167, 166]
+
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+        _pair(s, one)
+        _pair(s, blocked)
+        assert close(blocked.pair[0], one.pair[0]) and close(blocked.pair[1], one.pair[1])
+        a, b = _Stats(s, one), _Stats(s, blocked)
+        assert close(b.objective, a.objective)
+        assert close(b.gradient(blocked, 1.0), a.gradient(one, 1.0))
+        out = np.empty_like(s)
+        assert b.gradient(blocked, 0.5, out=out, step=True) is out
+        assert close(out, a.gradient(one, 0.5, step=True))

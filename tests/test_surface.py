@@ -23,7 +23,7 @@ PUBLIC_NAMES = [
 ]
 
 SUBMODULE_NAMES = {
-    "cli": ["cmd_eval", "cmd_gen", "cmd_run", "cmd_sweep", "main"],
+    "cli": ["main"],
     "config": [
         "ExperimentConfig", "experiment_from_mapping", "experiment_to_mapping",
         "format_float", "load_experiment", "polytope_from_fields", "polytope_to_fields",
