@@ -90,7 +90,7 @@ def _trials(cfg, rhos, algos):
     """
     sc = cfg.scenario
     cpus = _usable_cpus()
-    fit = stats.CACHE_BYTES // ((sc.r + sc.m + 1) * sc.n * 8)
+    fit = stats.CACHE_BYTES // stats._trial_bytes(sc.r, sc.m, sc.n)
     size = max(1, min(fit, math.ceil(cfg.trials / cpus)))
     chunks = [
         (cfg, rho, range(first, min(first + size, cfg.trials)), algos)

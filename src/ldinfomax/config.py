@@ -3,15 +3,15 @@
 A config file has one ``section.key = value`` assignment per line with
 ``#`` comments, diff-friendly and trivially parseable. The keys are the
 fields of the config dataclasses in declaration order, each value parsed by
-its field's type; unknown keys are rejected. Polytopes serialize as a
-preset name, or as ``custom`` plus explicit domain tags and group index
+its field's type; errors name the file, line and key. Polytopes serialize as
+a preset name, or as ``custom`` plus explicit domain tags and group index
 lists. CSV tables format every float with :func:`format_float`, so reruns
 with one seed give identical bytes.
 """
 
 import csv
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .datagen import ScenarioConfig, _check_rho
 from .ica import IcaConfig
@@ -20,21 +20,16 @@ from .solver import SolverConfig
 
 __all__ = [
     "ExperimentConfig",
-    "experiment_from_mapping",
-    "experiment_to_mapping",
     "format_float",
     "load_experiment",
-    "polytope_from_fields",
-    "polytope_to_fields",
-    "read_kv",
     "save_experiment",
     "write_csv",
-    "write_kv",
     "write_trajectory_csv",
 ]
 
 ALGOS = ("ld_infomax", "ica", "both")
-_CUSTOM_POLYTOPE_KEYS = ("scenario.polytope.domains", "scenario.polytope.groups")
+_POLYTOPE = "scenario.polytope"
+_CUSTOM_POLYTOPE_KEYS = (f"{_POLYTOPE}.domains", f"{_POLYTOPE}.groups")
 
 
 @dataclass(frozen=True)
@@ -97,54 +92,55 @@ def write_trajectory_csv(state, path):
     write_csv(path, header, rows)
 
 
-def read_kv(path):
-    """Parse a key-value file into an ordered dict of strings."""
-    mapping = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
-    return mapping
+class _BadValue(ValueError):
+    """A config entry the reader rejects; ``args`` are its key and the reason."""
 
 
-def write_kv(path, mapping):
-    """Write an ordered mapping as a key-value file."""
-    lines = [f"{key} = {value}" for key, value in mapping.items()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _parse(mapping, key, parse, *args):
+    """``parse(mapping[key], *args)``, whose ``ValueError`` becomes a :class:`_BadValue` of ``key``."""
+    try:
+        return parse(mapping[key], *args)
+    except ValueError as exc:
+        raise _BadValue(key, str(exc)) from None
 
 
-def polytope_to_fields(p, prefix="scenario.polytope"):
+def _polytope_to_fields(p):
     """Serialize a polytope as preset name or explicit custom fields."""
     for name in PRESET_NAMES:
         if p == preset(name, p.dim):
-            return {prefix: name}
-    out = {prefix: "custom"}
-    out[f"{prefix}.domains"] = ", ".join(p.domains)
-    out[f"{prefix}.groups"] = "; ".join(
-        " ".join(str(i) for i in g) for g in p.l1_groups
-    )
-    return out
+            return {_POLYTOPE: name}
+    domains, groups = _CUSTOM_POLYTOPE_KEYS
+    return {
+        _POLYTOPE: "custom",
+        domains: ", ".join(p.domains),
+        groups: "; ".join(" ".join(str(i) for i in g) for g in p.l1_groups),
+    }
 
 
-def polytope_from_fields(mapping, dim, prefix="scenario.polytope"):
-    """Inverse of :func:`polytope_to_fields`."""
-    name = mapping[prefix]
+def _custom_polytope(domains, groups=""):
+    """The polytope of the custom fields' texts."""
+    tags = tuple(t.strip() for t in domains.split(",") if t.strip())
+    index_lists = tuple(tuple(int(i) for i in g.split()) for g in groups.split(";") if g.strip())
+    return PolytopeSpec(len(tags), tags, index_lists)
+
+
+def _polytope_from_fields(mapping, dim):
+    """Inverse of :func:`_polytope_to_fields`, a preset at dimension ``dim``."""
+    domains, groups = _CUSTOM_POLYTOPE_KEYS
+    name = mapping[_POLYTOPE]
     if name != "custom":
+        for key in _CUSTOM_POLYTOPE_KEYS:
+            if key in mapping:
+                raise _BadValue(key, f"is read only when {_POLYTOPE} = custom")
+        if name not in PRESET_NAMES:
+            raise _BadValue(_POLYTOPE, f"expected custom or one of {PRESET_NAMES}, got {name!r}")
         return preset(name, dim)
-    domains = tuple(t.strip() for t in mapping[f"{prefix}.domains"].split(",") if t.strip())
-    groups_raw = mapping.get(f"{prefix}.groups", "").strip()
-    groups = tuple(
-        tuple(int(i) for i in chunk.split())
-        for chunk in groups_raw.split(";")
-        if chunk.strip()
-    )
-    return PolytopeSpec(len(domains), domains, groups)
+    if domains not in mapping:
+        raise _BadValue(_POLYTOPE, f"custom needs {domains}")
+    p = _parse(mapping, domains, _custom_polytope)  # so that a bad tag names its own line
+    if groups in mapping:
+        p = _parse(mapping, groups, lambda text: _custom_polytope(mapping[domains], text))
+    return p
 
 
 def _section_items(obj):
@@ -178,67 +174,80 @@ def _parse_value(text, hint):
     kind, optional = _value_type(hint)
     if optional and text.strip().lower() in ("none", ""):
         return None
-    if kind is tuple:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    return kind(text)
+    try:
+        if kind is tuple:
+            return tuple(float(v) for v in text.split(",") if v.strip())
+        return kind(text)
+    except ValueError:
+        expected = "comma-separated floats" if kind is tuple else kind.__name__
+        raise ValueError(f"expected {expected}, got {text!r}") from None
 
 
-def _sections(cfg):
-    """(key prefix, section) pairs: each nested config, then the experiment."""
-    nested = [(name, value) for name, _, value in _section_items(cfg) if is_dataclass(value)]
-    return nested + [("experiment", cfg)]
-
-
-def experiment_to_mapping(cfg):
-    """Flatten an :class:`ExperimentConfig` into ordered key-value pairs.
-
-    Keys are ``section.field`` in field declaration order.
-    """
+def _experiment_to_mapping(cfg, section="experiment"):
+    """Flatten a config into ``section.field`` key-value pairs in declaration order;
+    a nested config's fields take its field name as their section, so ``scenario.*``,
+    ``solver.*`` and ``ica.*`` come before ``experiment.*``."""
     mapping = {}
-    for prefix, section in _sections(cfg):
-        for name, hint, value in _section_items(section):
-            key = f"{prefix}.{name}"
-            if hint is PolytopeSpec:
-                mapping.update(polytope_to_fields(value, key))
-            elif not is_dataclass(value):
-                mapping[key] = _format_value(value, hint)
+    for name, hint, value in _section_items(cfg):
+        if hint is PolytopeSpec:
+            mapping.update(_polytope_to_fields(value))
+        elif is_dataclass(value):
+            mapping.update(_experiment_to_mapping(value, name))
+        else:
+            mapping[f"{section}.{name}"] = _format_value(value, hint)
     return mapping
 
 
-def experiment_from_mapping(mapping):
-    """Build an :class:`ExperimentConfig` from key-value pairs.
-
-    Missing keys fall back to the dataclass defaults.
-
-    Raises
-    ------
-    ValueError
-        If a key is not one :func:`experiment_to_mapping` can write.
-    """
-    defaults = ExperimentConfig()
-    known = set(experiment_to_mapping(defaults)) | set(_CUSTOM_POLYTOPE_KEYS)
-    unknown = [key for key in mapping if key not in known]
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = {}
-    for prefix, section in _sections(defaults):
-        values = {}
-        for name, hint, value in _section_items(section):
-            key = f"{prefix}.{name}"
-            if hint is PolytopeSpec:
-                given = {**polytope_to_fields(value, key), **mapping}
-                values[name] = polytope_from_fields(given, values["r"], key)
-            elif is_dataclass(value):
-                values[name] = kwargs[name]
-            else:
-                values[name] = _parse_value(mapping[key], hint) if key in mapping else value
-        kwargs[prefix] = type(section)(**values)
-    return kwargs["experiment"]
+def _experiment_from_mapping(mapping, cfg, section="experiment"):
+    """``cfg`` with the values ``mapping`` gives for its keys, the inverse of
+    :func:`_experiment_to_mapping`; raises :class:`_BadValue` naming a key whose
+    value its field cannot take."""
+    values = {}
+    for name, hint, value in _section_items(cfg):
+        key = f"{section}.{name}"
+        if hint is PolytopeSpec:
+            given = {**_polytope_to_fields(value), **mapping}
+            values[name] = _polytope_from_fields(given, values.get("r", cfg.r))
+        elif is_dataclass(value):
+            values[name] = _experiment_from_mapping(mapping, value, name)
+        elif key in mapping:
+            values[name] = _parse(mapping, key, _parse_value, hint)
+    return replace(cfg, **values)
 
 
 def load_experiment(path):
-    return experiment_from_mapping(read_kv(path))
+    """Read an :class:`ExperimentConfig` from a config file; keys it leaves out take their defaults.
+
+    Raises ``ValueError`` as ``path:line: key: reason`` for a key that is
+    unknown or repeated or holds a value its field cannot take, and as
+    ``path: reason`` for values the config dataclasses reject together.
+    """
+    defaults = ExperimentConfig()
+    known = set(_experiment_to_mapping(defaults)) | set(_CUSTOM_POLYTOPE_KEYS)
+    mapping, lines = {}, {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: {key}: unknown key")
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: {key}: given again (first on line {lines[key]})")
+            mapping[key], lines[key] = value, lineno
+    try:
+        return _experiment_from_mapping(mapping, defaults)
+    except _BadValue as exc:
+        key, reason = exc.args
+        raise ValueError(f"{path}:{lines[key]}: {key}: {reason}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_experiment(cfg, path):
-    write_kv(path, experiment_to_mapping(cfg))
+    """Write an :class:`ExperimentConfig` that :func:`load_experiment` reads back equal."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in _experiment_to_mapping(cfg).items())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .stats import _center, _covariance
+from .stats import _as_samples, _center, _covariance
 
 __all__ = [
     "IcaConfig",
@@ -63,17 +63,15 @@ def _whiten(y, r):
     Raises
     ------
     ValueError
-        If ``y`` is not an (M, N) matrix with N >= 2 or ``r`` is not in
-        ``[1, M]``.
+        Naming the mixtures, if ``y`` is not a finite (M, N) matrix with
+        N >= 2 or ``r`` is not in ``[1, M]``.
     numpy.linalg.LinAlgError
         If the centered mixtures have rank below ``r`` (a ``ValueError``
         subclass).
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[1] < 2:
-        raise ValueError("mixtures must be an (M, N) matrix with N >= 2")
-    if r < 1 or r > y.shape[0]:
-        raise ValueError(f"r must be in [1, M={y.shape[0]}], got r={r}")
+    y = _as_samples(y, "mixtures")
+    if not 1 <= r <= y.shape[0]:
+        raise ValueError(f"cannot estimate r={r} sources from M={y.shape[0]} mixtures")
     yc = _center(y)
     w, v = np.linalg.eigh(_covariance(yc))
     order = np.argsort(w)[::-1][:r]
@@ -194,7 +192,6 @@ def ica_separate(y, r, cfg):
     approximately unit variance, recovered up to permutation, sign, and
     scale.
     """
-    y = np.asarray(y, dtype=float)
     z, _ = _whiten(y, r)
     return _ica_infomax(z, cfg) @ z
 

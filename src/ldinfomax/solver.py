@@ -21,7 +21,7 @@ from . import evaluation
 from .datagen import _map_box
 from .ica import _whiten
 from .polytopes import NONNEG, project_columns
-from .stats import _center, _cross, _RunContext, _Stats
+from .stats import _center, _cross, _measure_inputs, _RunContext, _Stats
 
 __all__ = [
     "DivergenceError",
@@ -103,13 +103,10 @@ def gradient(s, y, epsilon):
     ``[A - B | B R_sy L⁻ᵀ | -(A - B) m] / N`` of ``[S ; L⁻¹Y C ; 1]`` (A, B the two
     inverses, L the Cholesky factor of ``R_y+eps I``, m the row means of S, which
     the ones row subtracts). ``s`` is centered once first, so an offset costs no
-    accuracy.
+    accuracy. The inputs are checked as :func:`ld_mutual_information` checks them.
     """
-    s = np.asarray(s, dtype=float)
-    ctx = _RunContext(y, epsilon, s.shape[0])
-    if s.shape[1] != ctx.n:
-        raise ValueError("sources and mixtures must share the sample count")
-    return _Stats(_center(s), ctx).gradient(ctx, 1.0)
+    s, ctx = _measure_inputs(s, y, epsilon)
+    return _Stats(s, ctx).gradient(ctx, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +126,9 @@ def initialize(y, p, cfg):
     Raises
     ------
     ValueError
-        If the polytope has more coordinates than there are mixtures.
+        If the mixtures are not a finite (M, N) matrix with N >= 2, or the
+        polytope has more coordinates than there are mixtures.
     """
-    y = np.asarray(y, dtype=float)
-    m = y.shape[0]
-    if p.dim > m:
-        raise ValueError(f"cannot estimate r={p.dim} sources from M={m} mixtures")
     rng = np.random.default_rng(cfg.seed)
     try:
         z, _ = _whiten(y, p.dim)
@@ -144,7 +138,7 @@ def initialize(y, p, cfg):
             RuntimeWarning,
             stacklevel=2,
         )
-        return project_columns(p, _map_box(rng.random((p.dim, y.shape[1])), p))
+        return project_columns(p, _map_box(rng.random((p.dim, np.shape(y)[1])), p))
     x = _random_orthonormal(p.dim, rng) @ z
     x = x / max(np.linalg.norm(x, axis=0).max(), np.finfo(float).tiny)
     shift = (p.lower + p.upper) / 2

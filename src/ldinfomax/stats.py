@@ -49,10 +49,15 @@ def _as_samples(x, name="x"):
     if x.ndim != 2:
         raise ValueError(f"{name} must be 2-D (channels x samples), got ndim={x.ndim}")
     if x.shape[1] < 2:
-        raise ValueError(f"{name} needs at least 2 samples, got {x.shape[1]}")
+        raise ValueError(f"{name} must have at least 2 samples, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"{name} contain non-finite entries")
     return x
+
+
+def _trial_bytes(r, m, n):
+    """Bytes of one trial's stacked buffer ``z = [S ; W ; 1]``: r+M+1 rows of N float64."""
+    return (r + m + 1) * n * 8
 
 
 def _symmetrize(a, out=None):
@@ -147,17 +152,13 @@ class _RunContext:
     """
 
     def __init__(self, y, epsilon, r):
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 2 or y.shape[1] < 2:
-            raise ValueError("mixtures must be an (M, N) matrix with N >= 2")
-        if not np.isfinite(y).all():
-            raise ValueError("mixtures contain non-finite entries")
+        y = _as_samples(y, "mixtures")
         self.n, self.epsilon = y.shape[1], float(epsilon)
         yc = _center(y)
         self.z = np.empty((r + yc.shape[0] + 1, self.n))
         self.z[r:-1] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
         self.z[-1] = 1.0
-        fit = max(1, CACHE_BYTES // (len(self.z) * self.z.itemsize))  # columns per budget
+        fit = max(1, CACHE_BYTES // _trial_bytes(r, len(y), 1))  # columns per budget
         size = math.ceil(self.n / math.ceil(self.n / fit))
         self.blocks = [slice(i, min(i + size, self.n)) for i in range(0, self.n, size)]
         self._view_blocks(r)
@@ -264,14 +265,14 @@ class _Stats:
 # validated public measures
 
 
-def _as_pair(s, y):
+def _measure_inputs(s, y, epsilon):
+    """Check the ``(s, y, epsilon)`` of a measure; return ``s`` centered and the context of ``y``."""
     s = _as_samples(s, "s")
     y = _as_samples(y, "y")
     if s.shape[1] != y.shape[1]:
-        raise ValueError(
-            f"sample counts differ: s has {s.shape[1]}, y has {y.shape[1]}"
-        )
-    return s, y
+        raise ValueError(f"sample counts differ: s has {s.shape[1]}, y has {y.shape[1]}")
+    _check_epsilon(epsilon)
+    return _center(s), _RunContext(y, epsilon, s.shape[0])
 
 
 def sample_covariance(x):
@@ -331,10 +332,8 @@ def conditional_error_covariance(s, y, epsilon):
     epsilon : float
         Positive regularizer added to the diagonal of ``R_y`` before inversion.
     """
-    s, y = _as_pair(s, y)
-    _check_epsilon(epsilon)
-    ctx = _RunContext(y, epsilon, s.shape[0])
-    _pair(_center(s), ctx)
+    s, ctx = _measure_inputs(s, y, epsilon)
+    _pair(s, ctx)
     return ctx.pair[1]
 
 
@@ -352,6 +351,4 @@ def ld_mutual_information(s, y, epsilon):
     epsilon : float
         Positive regularizer applied to every log-determinant.
     """
-    s, y = _as_pair(s, y)
-    _check_epsilon(epsilon)
-    return float(_Stats(_center(s), _RunContext(y, epsilon, s.shape[0])).objective)
+    return float(_Stats(*_measure_inputs(s, y, epsilon)).objective)

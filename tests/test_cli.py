@@ -4,23 +4,14 @@ import os
 import pickle
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ldinfomax import cli, ica, solver, stats
 from ldinfomax.cli import main
-from ldinfomax.config import (
-    ExperimentConfig,
-    experiment_from_mapping,
-    experiment_to_mapping,
-    load_experiment,
-    polytope_from_fields,
-    polytope_to_fields,
-    read_kv,
-    save_experiment,
-    write_kv,
-)
+from ldinfomax.config import ExperimentConfig, load_experiment, save_experiment
 from ldinfomax.datagen import ScenarioConfig
 from ldinfomax.ica import IcaConfig
 from ldinfomax.polytopes import PolytopeSpec, preset
@@ -67,17 +58,25 @@ def small_experiment(seed=0, **kw):
 
 class TestConfigRoundtrip:
     def test_kv_roundtrip(self, tmp_path):
+        # one assignment per line, spaces around "=" optional; the writer puts
+        # one "key = value" line per field and reads back equal
         path = tmp_path / "a.cfg"
-        write_kv(path, {"x.y": "1", "z": "hello"})
-        assert read_kv(path) == {"x.y": "1", "z": "hello"}
+        path.write_text("solver.mu0=20\n  experiment.trials   =  3  \n")
+        cfg = load_experiment(path)
+        assert (cfg.solver.mu0, cfg.trials) == (20.0, 3)
+        save_experiment(cfg, path)
+        lines = path.read_text().splitlines()
+        assert "solver.mu0 = 20" in lines and "experiment.trials = 3" in lines
+        assert all(" = " in line for line in lines)
+        assert load_experiment(path) == cfg
 
     def test_kv_comments_and_errors(self, tmp_path):
         path = tmp_path / "b.cfg"
-        path.write_text("# comment\nscenario.r = 5  # inline\n\n")
-        assert read_kv(path) == {"scenario.r": "5"}
-        path.write_text("not an assignment\n")
-        with pytest.raises(ValueError):
-            read_kv(path)
+        path.write_text("# comment\nscenario.r = 3  # inline\n\n")
+        assert load_experiment(path).scenario.r == 3
+        path.write_text("# comment\nnot an assignment\n")
+        with pytest.raises(ValueError, match=r"b\.cfg:2: expected 'key = value'"):
+            load_experiment(path)
 
     def test_experiment_roundtrip(self, tmp_path):
         cfg = small_experiment(seed=3, algo="ica", rho_grid=(0.0, 0.5))
@@ -85,24 +84,30 @@ class TestConfigRoundtrip:
         save_experiment(cfg, path)
         assert load_experiment(path) == cfg
 
-    def test_noiseless_roundtrip(self):
+    def test_noiseless_roundtrip(self, tmp_path):
         cfg = small_experiment()
-        from dataclasses import replace
-
         cfg = replace(cfg, scenario=replace(cfg.scenario, snr_db=None))
-        assert experiment_from_mapping(experiment_to_mapping(cfg)) == cfg
+        path = tmp_path / "exp.cfg"
+        save_experiment(cfg, path)
+        assert "scenario.snr_db = none" in path.read_text().splitlines()
+        assert load_experiment(path) == cfg
 
-    def test_custom_polytope_roundtrip(self):
+    def test_custom_polytope_roundtrip(self, tmp_path):
         p = PolytopeSpec(3, ("signed", "signed", "nonneg"), ((0, 1), (1, 2)))
-        fields = polytope_to_fields(p)
-        assert fields["scenario.polytope"] == "custom"
-        assert polytope_from_fields(fields, 3) == p
+        cfg = ExperimentConfig(scenario=ScenarioConfig(r=3, m=4, polytope=p))
+        path = tmp_path / "exp.cfg"
+        save_experiment(cfg, path)
+        assert "scenario.polytope = custom" in path.read_text().splitlines()
+        assert load_experiment(path).scenario.polytope == p
 
-    def test_preset_polytope_roundtrip(self):
+    def test_preset_polytope_roundtrip(self, tmp_path):
         p = preset("l1", 4)
-        fields = polytope_to_fields(p)
-        assert fields == {"scenario.polytope": "l1"}
-        assert polytope_from_fields(fields, 4) == p
+        cfg = ExperimentConfig(scenario=ScenarioConfig(r=4, m=4, polytope=p))
+        path = tmp_path / "exp.cfg"
+        save_experiment(cfg, path)
+        polytope_lines = [line for line in path.read_text().splitlines() if "polytope" in line]
+        assert polytope_lines == ["scenario.polytope = l1"]
+        assert load_experiment(path).scenario.polytope == p
 
     def test_sidecar_text_pins_key_order(self, tmp_path):
         cfg = ExperimentConfig(
@@ -119,19 +124,20 @@ class TestConfigRoundtrip:
         assert path.read_text() == SIDECAR_TEXT
         assert load_experiment(path) == cfg
 
-    def test_defaults_from_empty_mapping(self):
-        cfg = experiment_from_mapping({})
-        assert cfg == ExperimentConfig()
+    def test_defaults_from_empty_mapping(self, tmp_path):
+        # an empty file, and one of comments only
+        path = tmp_path / "empty.cfg"
+        for text in ("", "# nothing set\n\n"):
+            path.write_text(text)
+            assert load_experiment(path) == ExperimentConfig()
 
     def test_unknown_keys_rejected(self, tmp_path):
         # a misspelt key, and removed keys that older sidecars still carry
-        for key in ("solver.iteration", "solver.averaging_power", "experiment.starts"):
-            with pytest.raises(ValueError, match=key):
-                experiment_from_mapping({key: "5"})
         path = tmp_path / "typo.cfg"
-        path.write_text("solver.iteration = 5\n")
-        with pytest.raises(ValueError, match="solver.iteration"):
-            load_experiment(path)
+        for key in ("solver.iteration", "solver.averaging_power", "experiment.starts"):
+            path.write_text(f"{key} = 5\n")
+            with pytest.raises(ValueError, match=f"typo.cfg:1: {key}: unknown key"):
+                load_experiment(path)
         # sidecars written while the step rule, the start, the ICA source
         # model and the ICA learning rate were settable
         for key, value in (
@@ -139,17 +145,67 @@ class TestConfigRoundtrip:
             ("ica.learning_rate", "0.1"),
         ):
             path.write_text(f"{SIDECAR_TEXT}{key} = {value}\n")
-            with pytest.raises(ValueError, match=key):
+            with pytest.raises(ValueError, match=f"typo.cfg:25: {key}: unknown key"):
                 load_experiment(path)
 
-    def test_out_of_range_rho_rejected(self):
+    def test_out_of_range_rho_rejected(self, tmp_path):
         # r=5 needs rho in (-0.25, 1); a bad value fails before any trial runs
         with pytest.raises(ValueError, match="need rho in"):
             ScenarioConfig(r=5, rho=-0.5)
         with pytest.raises(ValueError, match="rho=-0.5"):
             ExperimentConfig(rho_grid=(0.0, -0.5, 0.3))
-        with pytest.raises(ValueError, match="rho=1.0"):
-            experiment_from_mapping({"experiment.rho_grid": "0, 1"})
+        path = tmp_path / "rho.cfg"
+        path.write_text("experiment.rho_grid = 0, 1\n")
+        with pytest.raises(ValueError, match=r"rho\.cfg: rho=1\.0"):
+            load_experiment(path)
+
+
+# each text, the line and key its error names, and the reason
+BAD_CONFIGS = {
+    "float_for_int": ("solver.iterations = 5.0\n", 1, "solver.iterations", "expected int, got '5.0'"),
+    "word_for_float": ("scenario.snr_db = loud\n", 1, "scenario.snr_db", "expected float, got 'loud'"),
+    "custom_without_domains": (
+        "# a custom polytope\nscenario.polytope = custom\n", 2, "scenario.polytope",
+        "custom needs scenario.polytope.domains",
+    ),
+    "repeated_key": (
+        "solver.mu0 = 20\nsolver.mu0 = 30\n", 2, "solver.mu0", "given again (first on line 1)",
+    ),
+    "unknown_tag": (
+        "scenario.r = 2\nscenario.polytope = custom\nscenario.polytope.domains = signed, open\n",
+        3, "scenario.polytope.domains", "unknown domain tag 'open'",
+    ),
+    "group_out_of_range": (
+        "scenario.r = 2\nscenario.polytope = custom\nscenario.polytope.domains = signed, signed\n"
+        "scenario.polytope.groups = 0 2\n", 4, "scenario.polytope.groups", "group (0, 2) has indices",
+    ),
+    "groups_beside_a_preset": (
+        "scenario.polytope = l1\nscenario.polytope.groups = 0 1\n", 2, "scenario.polytope.groups",
+        "is read only when scenario.polytope = custom",
+    ),
+    "unknown_preset": (
+        "scenario.polytope = cube\n", 1, "scenario.polytope", "expected custom or one of",
+    ),
+}
+
+
+class TestConfigErrors:
+    """The reader names the file, the line and the key of every value it rejects."""
+
+    @pytest.mark.parametrize("text, line, key, reason", BAD_CONFIGS.values(), ids=list(BAD_CONFIGS))
+    def test_names_file_line_and_key(self, tmp_path, text, line, key, reason):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_experiment(path)
+        assert str(info.value).startswith(f"{path}:{line}: {key}: {reason}")
+
+    def test_gen_exits_1_naming_the_entry(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("solver.mu0 = 20\nsolver.mu0 = 30\n")
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: solver.mu0: given again (first on line 1)\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestGen:
@@ -346,6 +402,19 @@ class TestWorkers:
         back = pickle.loads(pickle.dumps(error))
         assert type(back) is type(error) and str(back) == str(error)
         assert getattr(back, "state", None) == getattr(error, "state", None)
+
+    def test_stacks_fill_the_cache_budget(self, monkeypatch):
+        # one trial's buffer at r=5, M=8, N=2,000 is (5+8+1) x 2,000 float64, 224,000
+        # bytes, so 9 trials fit the 2 MiB budget; one CPU takes every chunk
+        chunks = []
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "_map_chunks", lambda c, workers: chunks.extend(c) or [])
+        cfg = ExperimentConfig(scenario=ScenarioConfig(r=5, m=8, n=2000), trials=20)
+        for budget, sizes in ((stats.CACHE_BYTES, [9, 9, 2]), (4 * 14 * 2000 * 8, [4] * 5)):
+            monkeypatch.setattr(stats, "CACHE_BYTES", budget)
+            chunks.clear()
+            assert list(cli._trials(cfg, (0.0,), ("ld_infomax",))) == []
+            assert [len(chunk[2]) for chunk in chunks] == sizes
 
     def test_one_and_two_workers_write_the_same_bytes(self, tmp_path, monkeypatch, capsys):
         # five trials, at most four per stack: chunks of 4 and 1 on one worker,

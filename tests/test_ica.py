@@ -130,6 +130,14 @@ class TestIcaSeparate:
         w = _ica_infomax(z, cfg)
         assert np.allclose(ica_separate(y, 3, cfg), w @ w_white @ (y - y.mean(axis=1, keepdims=True)), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mixtures_rejected(self, bad):
+        rng = np.random.default_rng(12)
+        y = rng.standard_normal((4, 3)) @ unit_uniform_sources(3, 500, seed=12)
+        y[1, 40] = bad
+        with pytest.raises(ValueError, match="^mixtures contain non-finite entries"):
+            ica_separate(y, 3, IcaConfig())
+
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         y = rng.standard_normal((4, 3)) @ unit_uniform_sources(3, 800, seed=10)

@@ -123,15 +123,43 @@ class TestGradient:
         assert np.abs(g.sum(axis=1)).max() <= 1e-12 * np.abs(g).sum(axis=1).max()
 
     def test_not_positive_definite_names_the_matrix(self):
-        # a negative shift leaves R_y - I positive definite for these large
-        # mixtures but not R_s - I (small sources) or R_e - I (sources that
-        # the mixtures predict exactly)
+        # a negative shift, which only the kernel takes, leaves R_y - I positive
+        # definite for these large mixtures but not R_s - I (small sources) or
+        # R_e - I (sources that the mixtures predict exactly)
         rng = np.random.default_rng(16)
         y = 10.0 * rng.standard_normal((4, 200))
+        ctx = solver_mod._RunContext(y, -1.0, 2)
         with pytest.raises(np.linalg.LinAlgError, match=r"^R_s \+ -1.0\*I"):
-            gradient(0.1 * rng.standard_normal((2, 200)), y, -1.0)
+            solver_mod._Stats(solver_mod._center(0.1 * rng.standard_normal((2, 200))), ctx)
         with pytest.raises(np.linalg.LinAlgError, match=r"^R_e \+ -1.0\*I"):
-            gradient(y[:2], y, -1.0)
+            solver_mod._Stats(solver_mod._center(y[:2]), ctx)
+
+    @pytest.mark.parametrize("case, message", [
+        ("zero epsilon", "epsilon must be positive"),
+        ("negative epsilon", "epsilon must be positive"),
+        ("NaN in s", "s contain non-finite entries"),
+        ("1-D s", "s must be 2-D"),
+        ("inf in y", "y contain non-finite entries"),
+    ], ids=["zero_epsilon", "negative_epsilon", "nan_in_s", "1d_s", "inf_in_y"])
+    def test_rejects_what_the_measures_reject(self, case, message):
+        rng = np.random.default_rng(17)
+        s, y, eps = rng.uniform(size=(3, 50)), rng.standard_normal((4, 50)), 1e-5
+        if case == "zero epsilon":
+            eps = 0.0
+        elif case == "negative epsilon":
+            eps = -1e-3
+        elif case == "NaN in s":
+            s[1, 4] = np.nan
+        elif case == "1-D s":
+            s = s[0]
+        else:
+            y[2, 9] = np.inf
+        with pytest.raises(ValueError) as measure:
+            ld_mutual_information(s, y, eps)
+        with pytest.raises(ValueError) as info:
+            gradient(s, y, eps)
+        assert str(info.value).startswith(message)
+        assert str(info.value) == str(measure.value)
 
     def test_centering_kills_constant_shift(self):
         rng = np.random.default_rng(3)
@@ -169,6 +197,17 @@ class TestInitialize:
         with pytest.warns(RuntimeWarning, match="falling back to random init"):
             s0 = initialize(y, p, SolverConfig(seed=5))
         assert contains(p, s0, tol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mixtures_rejected(self, bad):
+        # not taken for rank deficiency: no warning, no random start
+        scenario, p = small_scenario(seed=6)
+        y = scenario.y.copy()
+        y[2, 30] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^mixtures contain non-finite entries"):
+                initialize(y, p, SolverConfig(seed=6))
 
     def test_more_sources_than_mixtures_rejected(self):
         y = np.random.default_rng(6).standard_normal((2, 50))

@@ -25,9 +25,8 @@ PUBLIC_NAMES = [
 SUBMODULE_NAMES = {
     "cli": ["main"],
     "config": [
-        "ExperimentConfig", "experiment_from_mapping", "experiment_to_mapping",
-        "format_float", "load_experiment", "polytope_from_fields", "polytope_to_fields",
-        "read_kv", "save_experiment", "write_csv", "write_kv", "write_trajectory_csv",
+        "ExperimentConfig", "format_float", "load_experiment", "save_experiment", "write_csv",
+        "write_trajectory_csv",
     ],
     "datagen": ["Scenario", "ScenarioConfig", "make_scenario", "save_scenario"],
     "evaluation": ["Alignment", "EvaluationReport", "aggregate", "evaluate", "sinr_db"],
