@@ -34,7 +34,7 @@ print(f"project (1,1,1) onto nonneg+l1 -> {np.round(point, 4)} (face center)")
 # first two coordinates signed, third nonnegative; sparsity is imposed
 # between coordinates (1,2) and between (2,3), so the middle coordinate
 # trades off against both neighbours; the groups overlap, so the projection
-# runs Dykstra's alternating projection
+# runs projected Newton on the two groups' multipliers
 mixed = PolytopeSpec(3, ("signed", "signed", "nonneg"), ((0, 1), (1, 2)))
 v = np.array([-1.9, -2.0, 1.6])
 point = project_columns(mixed, v[:, None])[:, 0]

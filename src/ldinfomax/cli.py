@@ -85,8 +85,7 @@ def _trials(cfg, rhos, algos):
     every earlier chunk are done; ``results`` maps each algorithm to
     ``(curve, final_sinr, objective)`` or to the exception that failed it.
     Each trial's results do not depend on its chunk, so neither does the
-    output on the number of CPUs; only the text of Dykstra's warning does,
-    as it counts the columns of a whole stack.
+    output on the number of CPUs.
     """
     sc = cfg.scenario
     cpus = _usable_cpus()
@@ -303,9 +302,11 @@ def _cmd_sweep(cfg, out_dir):
 
 def _cmd_eval(estimate_path, truth_path, out_dir):
     """Score an estimate against ground truth; print and write the report."""
-    # ndmin=2 reads a one-sample file as r x 1, not 1 x r
-    s_est = np.loadtxt(estimate_path, delimiter=",", ndmin=2)
-    s_true = np.loadtxt(truth_path, delimiter=",", ndmin=2)
+    # ndmin=2 reads a one-sample file as r x 1, not 1 x r; a rejected matrix is named by its file
+    s_est, s_true = (
+        stats._as_samples(np.loadtxt(path, delimiter=",", ndmin=2), str(path), min_samples=1)
+        for path in (estimate_path, truth_path)
+    )
     report = evaluation.evaluate(s_est, s_true)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -201,7 +201,8 @@ def _experiment_to_mapping(cfg, section="experiment"):
 def _experiment_from_mapping(mapping, cfg, section="experiment"):
     """``cfg`` with the values ``mapping`` gives for its keys, the inverse of
     :func:`_experiment_to_mapping`; raises :class:`_BadValue` naming a key whose
-    value its field cannot take."""
+    value its field cannot take, or that the dataclass rejects on its own for
+    the reason it rejects them all."""
     values = {}
     for name, hint, value in _section_items(cfg):
         key = f"{section}.{name}"
@@ -212,15 +213,32 @@ def _experiment_from_mapping(mapping, cfg, section="experiment"):
             values[name] = _experiment_from_mapping(mapping, value, name)
         elif key in mapping:
             values[name] = _parse(mapping, key, _parse_value, hint)
-    return replace(cfg, **values)
+    try:
+        return replace(cfg, **values)
+    except ValueError as exc:
+        for name, value in values.items():
+            if f"{section}.{name}" in mapping and _rejection(cfg, name, value) == str(exc):
+                raise _BadValue(f"{section}.{name}", str(exc)) from None
+        raise
+
+
+def _rejection(cfg, name, value):
+    """The message with which ``cfg``'s dataclass rejects ``value`` for field
+    ``name`` alone, or None."""
+    try:
+        replace(cfg, **{name: value})
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def load_experiment(path):
     """Read an :class:`ExperimentConfig` from a config file; keys it leaves out take their defaults.
 
     Raises ``ValueError`` as ``path:line: key: reason`` for a key that is
-    unknown or repeated or holds a value its field cannot take, and as
-    ``path: reason`` for values the config dataclasses reject together.
+    unknown or repeated or holds a value its field cannot take, or that a
+    config dataclass rejects on its own, and as ``path: reason`` for values
+    the config dataclasses reject only together.
     """
     defaults = ExperimentConfig()
     known = set(_experiment_to_mapping(defaults)) | set(_CUSTOM_POLYTOPE_KEYS)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .stats import _as_samples
+
 __all__ = [
     "Alignment",
     "EvaluationReport",
@@ -60,12 +62,11 @@ class EvaluationReport:
 
 
 def _check_pair(s_est, s_true):
-    s_est = np.asarray(s_est, dtype=float)
-    s_true = np.asarray(s_true, dtype=float)
+    """Both matrices as finite float ndarrays of one shape; one sample will do."""
+    s_est = _as_samples(s_est, "s_est", min_samples=1)
+    s_true = _as_samples(s_true, "s_true", min_samples=1)
     if s_est.shape != s_true.shape:
         raise ValueError(f"shape mismatch: {s_est.shape} vs {s_true.shape}")
-    if s_est.ndim != 2:
-        raise ValueError("expected 2-D matrices")
     return s_est, s_true
 
 

@@ -44,8 +44,8 @@ class IcaConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (0 < self.tol < math.inf):  # NaN fails it too
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 class IcaDivergenceError(RuntimeError):

@@ -55,10 +55,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
+        for name in ("epsilon", "mu0"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):  # NaN fails it too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
         if self.record_every < 1:

@@ -43,13 +43,14 @@ _SYMMETRY_RTOL = 1e-12
 CACHE_BYTES = 2 * 1024 * 1024
 
 
-def _as_samples(x, name="x"):
-    """Validate a channels-by-samples matrix and return it as float ndarray."""
+def _as_samples(x, name="x", min_samples=2):
+    """Validate a channels-by-samples matrix of finite entries and return it
+    as float ndarray; a covariance needs the default two samples."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"{name} must be 2-D (channels x samples), got ndim={x.ndim}")
-    if x.shape[1] < 2:
-        raise ValueError(f"{name} must have at least 2 samples, got {x.shape[1]}")
+    if x.shape[1] < min_samples:
+        raise ValueError(f"{name} must have at least {min_samples} samples, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contain non-finite entries")
     return x
@@ -78,8 +79,8 @@ def _check_symmetric(a, name):
 
 
 def _check_epsilon(epsilon):
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (0 < epsilon < math.inf):  # NaN fails it too
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 # ---------------------------------------------------------------------------

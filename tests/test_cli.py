@@ -156,7 +156,7 @@ class TestConfigRoundtrip:
             ExperimentConfig(rho_grid=(0.0, -0.5, 0.3))
         path = tmp_path / "rho.cfg"
         path.write_text("experiment.rho_grid = 0, 1\n")
-        with pytest.raises(ValueError, match=r"rho\.cfg: rho=1\.0"):
+        with pytest.raises(ValueError, match=r"rho\.cfg:1: experiment\.rho_grid: rho=1\.0"):
             load_experiment(path)
 
 
@@ -199,6 +199,19 @@ class TestConfigErrors:
         with pytest.raises(ValueError) as info:
             load_experiment(path)
         assert str(info.value).startswith(f"{path}:{line}: {key}: {reason}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["solver.epsilon", "solver.mu0", "ica.tol"])
+    def test_non_finite_positive_value_names_its_line(self, tmp_path, key, value):
+        section, name = key.split(".")
+        reason = f"{name} must be positive and finite, got {float(value)}"
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            {"solver": SolverConfig, "ica": IcaConfig}[section](**{name: float(value)})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"solver.iterations = 5\n{key} = {value}\n")
+        with pytest.raises(ValueError) as info:
+            load_experiment(path)
+        assert str(info.value) == f"{path}:2: {key}: {reason}"
 
     def test_gen_exits_1_naming_the_entry(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -470,9 +483,11 @@ class TestWorkers:
             assert line in err
         assert b"failed: injected divergence" in files["ld/trials.csv"]
 
-    def test_worker_warnings_reach_the_parent_in_trial_order(self, tmp_path, monkeypatch):
-        # Dykstra's projection on overlapping l1 pairs stops at its sweep cap;
-        # two trials per stack either way, so both runs solve the same stacks
+    @staticmethod
+    def overlapping_pairs_sweep(tmp_path, monkeypatch):
+        """A sweep config on overlapping l1 pairs with steps large enough to
+        need many Newton steps per projection; two trials per stack either
+        way, so one worker and two solve the same stacks."""
         scenario = ScenarioConfig(
             r=5, m=6, n=500, snr_db=30.0, seed=7,
             polytope=PolytopeSpec(5, ("signed",) * 5, ((0, 1), (1, 2), (2, 3))),
@@ -485,6 +500,18 @@ class TestWorkers:
             cfg_path,
         )
         monkeypatch.setattr(stats, "CACHE_BYTES", 2 * (5 + 6 + 1) * 500 * 8)
+        return cfg_path
+
+    def test_worker_warnings_reach_the_parent_in_trial_order(self, tmp_path, monkeypatch):
+        # forked workers inherit the patched scenario generator, which warns once per trial
+        cfg_path = self.overlapping_pairs_sweep(tmp_path, monkeypatch)
+        real = cli.make_scenario
+
+        def warn_per_trial(scenario_cfg):
+            warnings.warn(f"scenario rho={scenario_cfg.rho} seed={scenario_cfg.seed}")
+            return real(scenario_cfg)
+
+        monkeypatch.setattr(cli, "make_scenario", warn_per_trial)
         seen = []
         for workers in (1, 2):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
@@ -493,7 +520,28 @@ class TestWorkers:
                 main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
             seen.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
         assert seen[0] == seen[1]
-        assert len(seen[0]) == 4 and all("Dykstra" in w[0] for w in seen[0])
+        assert [w[0] for w in seen[0]] == [
+            f"scenario rho={rho} seed={seed}" for rho in (0.0, 0.25) for seed in range(7, 11)
+        ]
+
+    def test_overlapping_pairs_sweep_is_the_same_on_any_worker_count(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cfg_path = self.overlapping_pairs_sweep(tmp_path, monkeypatch)
+        seen = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            out = tmp_path / f"w{workers}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["sweep", "--config", str(cfg_path), "--out", str(out)])
+            streams = capsys.readouterr()
+            seen.append((code, streams.out.replace(str(out), "OUT"), streams.err, _outputs(out),
+                         [str(w.message) for w in caught]))
+        assert seen[0] == seen[1]
+        code, _, err, files, caught = seen[0]
+        assert code == 0 and err == "" and caught == []
+        assert set(files) == {"sweep.csv", "sweep.cfg"}
 
     def test_a_killed_worker_fails_the_command(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -565,6 +613,17 @@ class TestEval:
             for line in (tmp_path / "o" / "report.csv").read_text().splitlines()[1:]
         )
         assert len(report["perm"].split()) == 3
+
+    def test_non_finite_estimate_names_its_file(self, tmp_path, capsys):
+        truth = np.random.default_rng(13).standard_normal((3, 40))
+        estimate = truth.copy()
+        estimate[1, 5] = np.nan
+        np.savetxt(tmp_path / "t.csv", truth, delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "e.csv", estimate, delimiter=",", fmt="%.17g")
+        assert main(["eval", str(tmp_path / "e.csv"), str(tmp_path / "t.csv"),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'e.csv'} contain non-finite entries\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["eval", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")]) == 1

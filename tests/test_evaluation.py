@@ -74,6 +74,17 @@ class TestMse:
         with pytest.raises(ValueError):
             evaluate(np.ones((2, 5)), np.ones((2, 6)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_name_their_argument(self, bad):
+        truth = np.random.default_rng(14).standard_normal((3, 20))
+        estimate = truth.copy()
+        estimate[2, 7] = bad
+        for measure in (evaluate, sinr_db):
+            with pytest.raises(ValueError, match="^s_est contain non-finite entries$"):
+                measure(estimate, truth)
+            with pytest.raises(ValueError, match="^s_true contain non-finite entries$"):
+                measure(truth, estimate)
+
 
 class TestSinr:
     def test_perfect_recovery_is_inf(self):

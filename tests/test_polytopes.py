@@ -27,11 +27,11 @@ def project(p, v):
 
 
 @pytest.fixture
-def no_dykstra(monkeypatch):
-    """Fail any projection that reaches Dykstra's loop."""
+def no_newton(monkeypatch):
+    """Fail any projection that reaches the overlapping groups' Newton kernel."""
     def fail(*args):
-        raise AssertionError("Dykstra's loop was reached")
-    monkeypatch.setattr(polytopes, "_dykstra_columns", fail)
+        raise AssertionError("the overlap kernel was reached")
+    monkeypatch.setattr(polytopes, "_newton_columns", fail)
 
 
 # closed form: disjoint groups, and one group over signed and nonnegative coordinates
@@ -39,7 +39,7 @@ DISJOINT_GROUPS = PolytopeSpec(
     5, ("signed", "nonneg", "signed", "nonneg", "signed"), ((0, 1), (2, 3))
 )
 MIXED_TAG_GROUP = PolytopeSpec(4, ("signed", "nonneg", "signed", "nonneg"), ((0, 1, 3),))
-# three overlapping signed pairs: columns need different Dykstra sweep counts
+# three overlapping signed pairs: columns need different Newton step counts
 MIXED_PAIRS = PolytopeSpec(5, ("signed",) * 5, ((0, 1), (1, 2), (2, 3)))
 
 ALL_PRESETS = [
@@ -154,8 +154,8 @@ MIXED_DOMAINS = PolytopeSpec(4, ("signed", "nonneg", "signed", "nonneg"))
 class TestClamp:
     """A spec whose domains share one tag clamps with scalar bounds, which
     must give the values of the per-row bounds. (Scalar bounds keep the sign
-    of a -0.0 on a zero lower bound; the solver's and Dykstra's clamps are
-    never given a -0.0.)"""
+    of a -0.0 on a zero lower bound; the solver's clamps are never given a
+    -0.0.)"""
 
     @pytest.mark.parametrize("p", [preset(name, 4) for name in polytopes.PRESET_NAMES]
                              + [MIXED_DOMAINS], ids=[*polytopes.PRESET_NAMES, "mixed_domains"])
@@ -170,11 +170,11 @@ class TestClamp:
 
     @pytest.mark.parametrize("p", [MIXED_PAIRS, mixed_sparsity_example()],
                              ids=["mixed_pairs", "mixed"])
-    def test_dykstra_unchanged(self, monkeypatch, p):
-        # Dykstra's loop clamps on every sweep
+    def test_overlap_route_clips_on_its_own(self, monkeypatch, p):
+        # the overlap kernel clips magnitudes to [0, 1] itself, never the box
         v = np.random.default_rng(31).uniform(-2.0, 2.0, (p.dim, 300))
         out = project_columns(p, v)
-        monkeypatch.setattr(polytopes, "_clamp", per_row_clip)
+        monkeypatch.setattr(polytopes, "_clamp", None)
         assert same_bytes(out, project_columns(p, v))
 
 
@@ -195,14 +195,14 @@ class TestProjectL1Group:
             assert np.allclose(project(preset("l1", 4), v), oracle.project(v), atol=1e-8)
 
     @pytest.mark.parametrize("p", [DISJOINT_GROUPS, MIXED_TAG_GROUP])
-    def test_closed_form_matches_qp_oracle(self, p, no_dykstra):
-        # disjoint groups and a group mixing domain tags need no Dykstra sweeps
+    def test_closed_form_matches_qp_oracle(self, p, no_newton):
+        # disjoint groups and a group mixing domain tags need no Newton steps
         oracle = QpProjectionOracle(p)
         rng = np.random.default_rng(26)
         for _ in range(25):
             v = rng.uniform(-2, 2, p.dim)
             assert np.abs(project(p, v) - oracle.project(v)).max() <= 1e-12
-        with pytest.raises(AssertionError, match="Dykstra"):
+        with pytest.raises(AssertionError, match="overlap kernel"):
             project(MIXED_PAIRS, rng.uniform(-2, 2, MIXED_PAIRS.dim))
 
 
@@ -286,7 +286,7 @@ class TestSimplexThreshold:
 
 
 class TestProject:
-    def test_box_only_is_clamp(self, no_dykstra):
+    def test_box_only_is_clamp(self, no_newton):
         p = preset("linf", 3)
         out = project(p, np.array([5.0, -0.2, -9.0]))
         assert np.array_equal(out, [1.0, -0.2, -1.0])
@@ -334,29 +334,19 @@ class TestProjectColumns:
         assert max_violation(p, empty) == 0.0
         assert contains(p, empty)
 
-    def test_dykstra_warns_when_sweeps_run_out_infeasible(self, monkeypatch):
-        # one sweep from zero corrections only shrinks magnitudes and always
-        # ends feasible; the second adds the corrections back
-        monkeypatch.setattr(polytopes, "DYKSTRA_MAX_SWEEPS", 2)
+    def test_step_cap_raises(self, monkeypatch):
         s = np.random.default_rng(29).normal(0.0, 2.0, (MIXED_PAIRS.dim, 40))
-        with pytest.warns(RuntimeWarning, match="after 2 sweeps") as record:
-            out = project_columns(MIXED_PAIRS, s)
-        worst = [max_violation(MIXED_PAIRS, out[:, j]) for j in range(out.shape[1])]
-        bad = [w for w in worst if w > polytopes.FEASIBILITY_TOL]
-        assert 0 < len(bad) < len(worst)
-        assert len(record) == 1
-        assert f"with {len(bad)} columns" in str(record[0].message)
-        assert f"worst violation {max(bad):.3g}" in str(record[0].message)
-        # a single point is a one-column matrix, so it warns the same way
-        j = int(np.argmax(worst))
-        with pytest.warns(RuntimeWarning, match="with 1 columns") as record:
-            point = project_columns(MIXED_PAIRS, s[:, j:j + 1])
-        assert np.array_equal(point[:, 0], out[:, j])
-        assert len(record) == 1
-        assert f"worst violation {worst[j]:.3g}" in str(record[0].message)
+        settled = project_columns(MIXED_PAIRS, s)
+        monkeypatch.setattr(polytopes, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"columns not settled after 1 Newton steps"):
+            project_columns(MIXED_PAIRS, s)
+        # a column inside the polytope settles before any step
+        inside = settled[:, :1] * 0.5
+        assert np.array_equal(project_columns(MIXED_PAIRS, inside), inside)
 
-    def test_dykstra_silent_when_converged(self):
-        s = np.random.default_rng(28).uniform(-2, 2, (MIXED_PAIRS.dim, 200))
+    def test_silent_on_project_heavy_sized_inputs(self):
+        # heavy-tailed steps, as the solver's first iterations take them
+        s = np.random.default_rng(28).standard_cauchy((MIXED_PAIRS.dim, 2000))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = project_columns(MIXED_PAIRS, s)
@@ -365,6 +355,143 @@ class TestProjectColumns:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             project_columns(preset("linf", 3), np.zeros((2, 5)))
+
+
+# columns of the first steps of a solve on MIXED_PAIRS on which Dykstra's
+# alternating projection stopped at its 200-sweep cap: the first three
+# feasible yet a unit away from the projection, the last one infeasible
+CAPPED_DYKSTRA_COLUMNS = np.array([
+    [-33.32187770911466, -87.38606233762798, 161.553498385933, 220.71291500561244,
+     3.9649355309762693],
+    [-66.55527504714165, -73.81269028912843, 335.3954892750996, 397.724303163795,
+     -14.841467698600221],
+    [22.50105792967858, 102.32740271066982, -202.55322787767875, 230.13787501817038,
+     0.26476024845902735],
+    [7.042311849207054, -30.463564104355164, -103.75093179083753, 149.16930617275054,
+     -2.8673928143417817],
+]).T
+
+THREE_GROUPS_NONNEG = PolytopeSpec(
+    4, ("nonneg", "signed", "nonneg", "signed"), ((0, 1), (1, 2, 3), (0, 3))
+)
+NESTED_GROUPS = PolytopeSpec(4, ("signed",) * 4, ((0, 1, 2), (1, 2)))
+OVERLAPPING = [
+    ("mixed_pairs", MIXED_PAIRS),
+    ("mixed", mixed_sparsity_example()),
+    ("three_groups_nonneg", THREE_GROUPS_NONNEG),
+    ("nested", NESTED_GROUPS),
+]
+
+
+# columns whose dual has kinks or zero multipliers at or near the optimum, with
+# their projections found by enumerating active sets in exact rational
+# arithmetic: the first came up in a 5,000-step solve on MIXED_PAIRS
+KINK_COLUMNS = [
+    (MIXED_PAIRS,
+     [0.38557175501176033, 0.2848714099096099, -0.14204845690962342, 1.1420469337055967,
+      -0.034586097887556067],
+     [0.38557175501176033, 0.2848714099096099, -7.616020133438539e-07, 0.9999992383979867,
+      -0.034586097887556067]),
+    (PolytopeSpec(4, ("signed",) * 4, ((0, 1, 2), (1, 2, 3), (0, 3))),
+     [-0.25, 0.5, -0.375, -0.875], [-0.25, 0.25, -0.125, -0.625]),
+    (PolytopeSpec(4, ("signed",) * 4, ((0, 1), (0, 2), (0, 3))),
+     [2.0000000019343873, 1.4999999993788116, -1.999999999814727, 1.9999999986666732],
+     [0.0, 1.0, -1.0, 1.0]),
+    (THREE_GROUPS_NONNEG,
+     [2.4999999995636752, 1.500000002270669, 2.4999999982934256, 2.9999999971744136],
+     [0.9999999995293491, 4.706508833456675e-10, 0.9999999990586982, 4.706508833456675e-10]),
+]
+
+
+def varied_columns(dim, scale, rng):
+    """Normal and uniform columns at ``scale``, some rounded to integers
+    (ties and entries on the box faces), zeros and one huge column."""
+    v = rng.normal(0.0, scale, (dim, 60))
+    v[:, :20] = rng.uniform(-scale, scale, (dim, 20))
+    v[:, 20:30] = np.round(v[:, 20:30])
+    v[:, 30] = 0.0
+    v[:, 31] = 1e6 * np.sign(v[:, 31])
+    return v
+
+
+class TestOverlapKernel:
+    """Projected Newton on the group multipliers against the QP oracle."""
+
+    def test_capped_dykstra_columns_match_oracle(self):
+        oracle = QpProjectionOracle(MIXED_PAIRS)
+        out = project_columns(MIXED_PAIRS, CAPPED_DYKSTRA_COLUMNS)
+        for j, v in enumerate(CAPPED_DYKSTRA_COLUMNS.T):
+            assert np.abs(out[:, j] - oracle.project(v)).max() <= 1e-10
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 10.0, 1e3])
+    @pytest.mark.parametrize("name,p", OVERLAPPING)
+    def test_matches_qp_oracle(self, name, p, scale):
+        v = varied_columns(p.dim, scale, np.random.default_rng(int(scale * 10) + p.dim))
+        out = project_columns(p, v)
+        assert contains(p, out)
+        oracle = QpProjectionOracle(p)
+        for j in range(31):  # the oracle's feasibility test fails at 1e6
+            assert np.abs(out[:, j] - oracle.project(v[:, j])).max() <= 1e-12 * max(1.0, scale)
+
+    @pytest.mark.parametrize("name,p", OVERLAPPING)
+    def test_stack_equals_one_column_projections(self, name, p):
+        rng = np.random.default_rng(32)
+        v = np.hstack([varied_columns(p.dim, scale, rng) for scale in (0.5, 2.0, 1e3)])
+        out = project_columns(p, v)
+        for j in range(v.shape[1]):
+            assert same_bytes(out[:, j], project_columns(p, v[:, j:j + 1])[:, 0])
+
+    @pytest.mark.parametrize("name,p", OVERLAPPING)
+    def test_settles_near_kinks(self, name, p):
+        # grid inputs put coordinates on the kinks r = 0 and r = 1 of the dual,
+        # exactly or within a perturbation, and multipliers on zero
+        rng = np.random.default_rng(34)
+        for grid in (2, 4, 8):
+            for eps in (0.0, 1e-13, 1e-9, 1e-6):
+                v = np.round(rng.uniform(-3.0, 3.0, (p.dim, 500)) * grid) / grid
+                v += eps * rng.standard_normal(v.shape)
+                assert contains(p, project_columns(p, v))
+
+    @pytest.mark.parametrize("p, v, exact", KINK_COLUMNS, ids=[
+        "bounce_across_a_kink", "multiplier_a_rounding_error_above_zero",
+        "flat_direction_on_a_kink", "coordinates_on_kinks",
+    ])
+    def test_kink_columns_match_exact_projection(self, p, v, exact):
+        out = project_columns(p, np.array(v)[:, None])[:, 0]
+        assert np.abs(out - exact).max() <= 1e-15
+
+    @pytest.mark.parametrize("p, v", [
+        (PolytopeSpec(5, ("signed", "signed", "signed", "nonneg", "signed"),
+                      ((0, 1, 3, 4), (0, 1, 2, 3, 4), (4,), (1, 2, 3, 4))),
+         [-2.1406524402865115e-09, -0.5000000008984236, -6.456372982268688e-10,
+          0.25000000101045133, -0.24999999943742363]),
+        (PolytopeSpec(5, ("nonneg", "nonneg", "signed", "nonneg", "nonneg"),
+                      ((0, 1, 2, 3, 4), (2, 3, 4), (1, 2), (2, 3), (0, 1, 2, 4), (1,))),
+         [4.464381253692031e-11, 0.5000000015385841, -0.5000000002500269,
+          1.9094230932930827e-09, -6.327952947720797e-10]),
+        (PolytopeSpec(6, ("signed", "signed", "nonneg", "signed", "nonneg", "nonneg"),
+                      ((1, 2, 3, 5), (1, 2, 3, 4), (0, 1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4, 5))),
+         [-1.076537168476253e-09, 0.250000000560637, 0.24999999972511242,
+          -0.49999999978486753, -3.682759394875218e-10, -1.1639820155677468e-10]),
+    ], ids=["group_inside_a_group", "six_nested_groups", "five_nested_groups"])
+    def test_nested_groups_on_a_face_settle(self, p, v):
+        # inputs within 1e-9 of a face of nested groups: the Newton step
+        # could go to either of two multipliers, and the stalled column's
+        # damped direction splits it; the last one also needs the bound
+        # multipliers' steps in the free ones' system
+        out = project_columns(p, np.array(v)[:, None])
+        assert contains(p, out)
+        assert np.abs(out[:, 0] - v).max() <= 1e-8
+
+    def test_non_finite_column_stops_at_once(self):
+        v = np.random.default_rng(33).uniform(-2.0, 2.0, (MIXED_PAIRS.dim, 4))
+        v[1, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = project_columns(MIXED_PAIRS, v)
+        assert np.isnan(out[:, 2]).any()
+        keep = [0, 1, 3]
+        assert same_bytes(out[:, keep], project_columns(MIXED_PAIRS, v[:, keep]))
 
 
 class TestProjectionProperties:

@@ -137,10 +137,11 @@ class TestGradient:
     @pytest.mark.parametrize("case, message", [
         ("zero epsilon", "epsilon must be positive"),
         ("negative epsilon", "epsilon must be positive"),
+        ("NaN epsilon", "epsilon must be positive and finite, got nan"),
         ("NaN in s", "s contain non-finite entries"),
         ("1-D s", "s must be 2-D"),
         ("inf in y", "y contain non-finite entries"),
-    ], ids=["zero_epsilon", "negative_epsilon", "nan_in_s", "1d_s", "inf_in_y"])
+    ], ids=["zero_epsilon", "negative_epsilon", "nan_epsilon", "nan_in_s", "1d_s", "inf_in_y"])
     def test_rejects_what_the_measures_reject(self, case, message):
         rng = np.random.default_rng(17)
         s, y, eps = rng.uniform(size=(3, 50)), rng.standard_normal((4, 50)), 1e-5
@@ -148,6 +149,8 @@ class TestGradient:
             eps = 0.0
         elif case == "negative epsilon":
             eps = -1e-3
+        elif case == "NaN epsilon":
+            eps = np.nan
         elif case == "NaN in s":
             s[1, 4] = np.nan
         elif case == "1-D s":
@@ -354,7 +357,7 @@ class TestRun:
             assert type(failed) is type(info.value) and str(failed) == str(info.value)
 
 
-# five coordinates, three overlapping l1 pairs: projected by Dykstra's loop
+# five coordinates, three overlapping l1 pairs: projected by Newton on the group multipliers
 MIXED_PAIRS = PolytopeSpec(5, (SIGNED,) * 5, ((0, 1), (1, 2), (2, 3)))
 
 
@@ -400,7 +403,7 @@ def assert_stack_equals_single_solves(p, iterations):
     scenarios, cfgs = stack_inputs(p, range(30, 34), iterations)
     truths = [sc.s_true for sc in scenarios]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # Dykstra's sweep cap
+        warnings.simplefilter("error")
         single = [run(sc.y, p, c, ground_truth=sc.s_true) for sc, c in zip(scenarios, cfgs)]
         stack = run([sc.y for sc in scenarios], p, cfgs, ground_truth=truths)
     assert len(stack) == len(single)
