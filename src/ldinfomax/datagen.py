@@ -32,11 +32,11 @@ REJECTION_PROBE = 20000
 class ScenarioConfig:
     """Full description of one synthetic mixing experiment.
 
-    ``snr_db=None`` (or ``inf``) means noiseless mixtures. ``source_mode``
-    selects dependent t-copula uniforms or independent uniforms before the
-    polytope mapping; ``l1_mode`` selects how group constraints are enforced
-    ("reject" redraws violating columns, "scale" shrinks them onto the
-    feasible set).
+    ``snr_db=None`` (or ``inf``) means noiseless mixtures; NaN and ``-inf``
+    are rejected. ``source_mode`` selects dependent t-copula uniforms or
+    independent uniforms before the polytope mapping; ``l1_mode`` selects how
+    group constraints are enforced ("reject" redraws violating columns,
+    "scale" shrinks them onto the feasible set).
     """
 
     r: int = 5
@@ -58,6 +58,8 @@ class ScenarioConfig:
             raise ValueError("n must be positive")
         if self.dof < 1:
             raise ValueError("dof must be >= 1")
+        if self.snr_db is not None and not (self.snr_db > -math.inf):  # NaN fails it too
+            raise ValueError(f"snr_db must be None, finite or inf, got {self.snr_db}")
         if self.polytope.dim != self.r:
             raise ValueError(
                 f"polytope dimension {self.polytope.dim} does not match r={self.r}"

@@ -218,7 +218,7 @@ def _capped_simplex(u):
     feasible; any other lands on the simplex face as ``max(u - theta, 0)``.
     Overwrites and returns ``u``, which saves a pass over the samples.
     """
-    over = (u.sum(axis=0) > 1.0).nonzero()[0]
+    over = (_column_sums(u) > 1.0).nonzero()[0]
     if over.size:
         uo = u.take(over, axis=1)
         uo -= _simplex_threshold(uo)
@@ -239,9 +239,10 @@ def _simplex_threshold(u):
     That last holds in exact arithmetic: at column sums past about 4.5e15,
     ``sum - 1`` rounds to the sum and theta can reach the largest entry. A
     column whose set rounding empties keeps its last theta, which is finite
-    and leaves the column at zero, a feasible point.
+    and leaves the column at zero, a feasible point. The sums add rows in
+    order, so a column's theta does not depend on the other columns.
     """
-    theta = np.add.reduce(u, axis=0)
+    theta = _column_sums(u)
     theta -= 1.0
     theta /= len(u)
     kept = np.greater(u, theta)
@@ -250,7 +251,7 @@ def _simplex_threshold(u):
     while (left := np.count_nonzero(kept)) < total:
         total = left
         count = np.add.reduce(kept, axis=0, dtype=float)
-        excess = np.add.reduce(np.multiply(u, kept, out=part), axis=0)
+        excess = _column_sums(np.multiply(u, kept, out=part))
         excess -= 1.0
         np.divide(excess, count, out=theta, where=count > 0.0)
         kept &= np.greater(u, theta, out=above)

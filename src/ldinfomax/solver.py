@@ -21,7 +21,7 @@ from . import evaluation
 from .datagen import _map_box
 from .ica import _whiten
 from .polytopes import NONNEG, project_columns
-from .stats import _center, _cross, _measure_inputs, _RunContext, _Stats
+from .stats import _center, _cross, _Kernel, _measure_inputs
 
 __all__ = [
     "DivergenceError",
@@ -105,8 +105,9 @@ def gradient(s, y, epsilon):
     the ones row subtracts). ``s`` is centered once first, so an offset costs no
     accuracy. The inputs are checked as :func:`ld_mutual_information` checks them.
     """
-    s, ctx = _measure_inputs(s, y, epsilon)
-    return _Stats(s, ctx).gradient(ctx, 1.0)
+    s, kernel = _measure_inputs(s, y, epsilon)
+    kernel.load(s)
+    return kernel.gradient(1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +294,17 @@ def _solve(ys, p, cfgs, truths):
 
     The iterate ``s`` is an (r, T, N) array, so ``project_columns`` takes every
     column of every trial as one (r, T·N) view. Each iteration is two products
-    over the context's buffer ``[S ; W ; 1]``: the statistics, and the step's
+    over the kernel's buffer ``[S ; W ; 1]``: the statistics, and the step's
     point ``s + mu_k * grad`` written into one (r, T, N) buffer, which then
     takes the weighted iterate. The running average is kept as its weighted
     sum and divided by the total weight where it is read. A
     :class:`DivergenceError` carries its trial's state.
     """
     cfg = cfgs[0]
-    ctx = _RunContext.stack([_RunContext(y, c.epsilon, p.dim) for y, c in zip(ys, cfgs)])
+    kernel = _Kernel(ys, cfg.epsilon, p.dim)
     s = np.stack([initialize(y, p, c) for y, c in zip(ys, cfgs)], axis=1)
     step, weighted, total = np.empty_like(s), np.zeros_like(s), 0.0
-    stats = _Stats(s.swapaxes(0, 1), ctx)
+    objective = kernel.load(s.swapaxes(0, 1))
     states = [SolverState(s=None, k=0, objective=math.nan, estimate=None) for _ in ys]
     finals = [None] * len(ys)
 
@@ -313,22 +314,22 @@ def _solve(ys, p, cfgs, truths):
 
     def record(k):
         for i, state in enumerate(states):
-            state.k, state.objective = k, float(stats.objective[i])
+            state.k, state.objective = k, float(objective[i])
             finals[i] = _record(state, estimate(i), truths[i], ys[i], p)
 
     record(0)
     for k in range(1, cfg.iterations + 1):
-        stats.gradient(ctx, cfg.mu0 / math.sqrt(k), out=step.swapaxes(0, 1), step=True)
+        kernel.gradient(cfg.mu0 / math.sqrt(k), out=step.swapaxes(0, 1), step=True)
         s = project_columns(p, step.reshape(p.dim, -1)).reshape(step.shape)
-        stats = _Stats(s.swapaxes(0, 1), ctx)
+        objective = kernel.load(s.swapaxes(0, 1))
         # the sum's weight on iterate k over its total is (P+1)/(k+P), P = AVERAGING_POWER
         weight = float(math.prod(range(k, k + AVERAGING_POWER)))
         weighted += np.multiply(s, weight, out=step)
         total += weight
-        if not math.isfinite(np.add.reduce(stats.objective)):
-            i = np.argmin(np.isfinite(stats.objective))  # the first trial that diverged
+        if not math.isfinite(np.add.reduce(objective)):
+            i = np.argmin(np.isfinite(objective))  # the first trial that diverged
             state = SolverState(
-                s=s[:, i].copy(), k=k, objective=float(stats.objective[i]),
+                s=s[:, i].copy(), k=k, objective=float(objective[i]),
                 estimate=estimate(i), trajectory=states[i].trajectory,
             )
             raise DivergenceError(f"objective became non-finite at iteration {k}", state)

@@ -7,17 +7,17 @@ the error covariance of the best regularized linear predictor, and the
 LD-mutual information between two sample sets.
 
 The public functions validate their inputs, center the sources once and
-then call a small private kernel, built around one stacked buffer of
-sources, whitened mixtures and a row of ones. The solver calls that kernel
-directly on its uncentered iterate, without the validation or the
-centering: the kernel's ``S Sᵀ/N - m mᵀ`` loses digits only as the row means
-grow against the spread, which the polytope bounds for the iterate, so the
-solver's objective agrees with :func:`ld_mutual_information` to rounding.
-The kernel's two products over the samples run on column blocks of that
+then load them into a private kernel of one trial, :class:`_Kernel`, built
+around one buffer of sources, whitened mixtures and a row of ones. The
+solver builds one kernel over its stack of trials and loads its uncentered
+iterate, without the validation or the centering: the kernel's
+``S Sᵀ/N - m mᵀ`` loses digits only as the row means grow against the
+spread, which the polytope bounds for the iterate, so the solver's
+objective agrees with :func:`ld_mutual_information` to rounding. The
+kernel's two products over the samples run on column blocks of that
 buffer sized by :data:`CACHE_BYTES`, so a large N streams through the cache.
 """
 
-import copy
 import itertools
 import math
 
@@ -134,130 +134,112 @@ def _half_logdet(chol):
     return np.add.reduce(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
-class _RunContext:
-    """Mixture-side quantities of the LD statistics: the stacked buffer ``z = [S ; W ; 1]``.
+class _Kernel:
+    """The LD statistics of a stack of T >= 1 trials over one buffer ``z = [S ; W ; 1]``.
 
-    ``W = L⁻¹Y_c`` whitens the centered mixtures by the lower Cholesky factor ``L``
-    of ``R_y + eps*I``, so that ``R_sy (R_y + eps*I)^{-1} Y_c = (S Wᵀ/N) W``; the
-    sources ``S`` sit in the first r rows uncentered, and a last row of ones
-    carries their means. A context of one trial holds an (r+M+1, N) buffer;
-    :meth:`stack` joins the buffers of several trials into one (T, r+M+1, N)
-    buffer. ``blocks`` cuts the N columns into the fewest equal slices whose
-    (r+M+1)-row block of one trial fits :data:`CACHE_BYTES`; a stack keeps its
-    trials' blocks. ``top`` views the sources' rows of ``z``, and ``parts``
-    holds per block its slice and its columns of ``top`` and of ``z``, built
-    once so that an iteration slices nothing. The context is also the
-    statistics' workspace: ``eye = I``, ``shift = eps*I``, the ``pair``
-    buffer that :func:`_pair` fills, (2, r, r) for one trial and (T, 2, r, r)
-    for a stack, and the gradient's map ``c``, (r, r+M+1) or (T, r, r+M+1).
+    ``z`` is (T, r+M+1, N): per trial ``W = L⁻¹Y_c`` whitens the centered
+    mixtures by the lower Cholesky factor ``L`` of ``R_y + eps*I``, so that
+    ``R_sy (R_y + eps*I)^{-1} Y_c = (S Wᵀ/N) W``; the sources ``S`` sit in the
+    first r rows uncentered, and a last row of ones carries their means. The
+    trials' mixtures ``ys`` share one (M, N) shape and ``epsilon``. ``blocks``
+    cuts the N columns into the fewest equal slices whose (r+M+1)-row block of
+    one trial fits :data:`CACHE_BYTES`; ``top`` views the sources' rows of
+    ``z``, and ``parts`` holds per block its slice and its columns of ``top``
+    and of ``z``, built once so that an iteration slices nothing. The rest is
+    workspace: ``eye = I``, ``shift = eps*I``, the (T, 2, r, r) ``pair`` of
+    ``R_s`` and ``R_e`` and the gradient's (T, r, r+M+1) map ``c``.
+
+    :meth:`load` puts sources into ``z`` and returns the objective of each
+    trial; :meth:`gradient` reads the state the last :meth:`load` left. Every
+    product and factorization runs per trial, so each trial's values are the
+    ones it gives alone.
     """
 
-    def __init__(self, y, epsilon, r):
-        y = _as_samples(y, "mixtures")
-        self.n, self.epsilon = y.shape[1], float(epsilon)
-        yc = _center(y)
-        self.z = np.empty((r + yc.shape[0] + 1, self.n))
-        self.z[r:-1] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
-        self.z[-1] = 1.0
-        fit = max(1, CACHE_BYTES // _trial_bytes(r, len(y), 1))  # columns per budget
+    def __init__(self, ys, epsilon, r):
+        ys = [_as_samples(y, "mixtures") for y in ys]
+        m, self.n = ys[0].shape
+        self.epsilon = float(epsilon)
+        self.z = np.empty((len(ys), r + m + 1, self.n))
+        for z, y in zip(self.z, ys):
+            yc = _center(y)
+            z[r:-1] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
+        self.z[:, -1] = 1.0
+        fit = max(1, CACHE_BYTES // _trial_bytes(r, m, 1))  # columns per budget
         size = math.ceil(self.n / math.ceil(self.n / fit))
         self.blocks = [slice(i, min(i + size, self.n)) for i in range(0, self.n, size)]
-        self._view_blocks(r)
+        self.top = self.z[:, :r]
+        self.parts = [(cols, self.top[..., cols], self.z[..., cols]) for cols in self.blocks]
         self.eye = np.eye(r)
         self.shift = self.epsilon * self.eye
-        self.pair = np.empty((2, r, r))
-        self.c = np.empty((r, len(self.z)))
+        self.pair = np.empty((len(ys), 2, r, r))
+        self.c = np.empty((len(ys), r, r + m + 1))
 
-    def _view_blocks(self, r):
-        self.top = self.z[..., :r, :]
-        self.parts = [(cols, self.top[..., cols], self.z[..., cols]) for cols in self.blocks]
+    def fill(self, s):
+        """Write ``R_s`` and ``R_e`` of sources ``s``, (T, r, N) or a trial's (r, N), into ``pair``.
 
-    @staticmethod
-    def stack(contexts):
-        """One context over the trials of ``contexts``, which share N, M and epsilon."""
-        ctx = copy.copy(contexts[0])
-        ctx.z = np.stack([c.z for c in contexts])
-        ctx._view_blocks(len(ctx.eye))
-        ctx.pair = np.empty((len(contexts), *ctx.pair.shape))
-        ctx.c = np.empty((len(contexts), *ctx.c.shape))
-        return ctx
+        Copies ``s`` into ``top``, so one product gives ``[S Sᵀ/N | Q]`` with
+        ``Q = [R_sy L⁻ᵀ | m]``: every row of ``W`` has zero mean, so ``S Wᵀ/N``
+        needs no centered ``S``. Then ``R_s = S Sᵀ/N - m mᵀ`` and
+        ``R_e = S Sᵀ/N - Q Qᵀ = R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ``, both
+        symmetric (``S Sᵀ/N`` is symmetrized, and numpy forms ``Q Qᵀ`` and
+        ``m mᵀ`` symmetric). The subtraction of ``m mᵀ`` cancels digits as the
+        means grow against the spread, which the polytope's bounds keep small
+        for the solver's iterate; the public measures center ``s`` first. With
+        several column blocks the product is summed over them. Keeps
+        ``R_sy L⁻ᵀ`` as ``r_sw`` and the (T, r, 1) means as ``m``.
+        """
+        r, pair = len(self.eye), self.pair
+        np.copyto(self.top, s)
+        (_, top, z), *rest = self.parts
+        g = top @ z.mT
+        for _, top, z in rest:
+            g += top @ z.mT
+        g /= self.n
+        q, self.m = g[..., r:], g[..., -1:]
+        self.r_sw = q[..., :-1]
+        r_s = _symmetrize(g[..., :r], out=pair[:, 0])
+        np.subtract(r_s, q @ q.mT, out=pair[:, 1])
+        r_s -= self.m * self.m.mT
 
+    def load(self, s):
+        """The LD-mutual information of each trial's sources ``s`` and mixtures, a (T,) array.
 
-def _pair(s, ctx):
-    """Write ``R_s`` and ``R_e`` of sources ``s`` into ``ctx.pair``; return ``R_sy L⁻ᵀ`` and the means.
+        ``s`` goes into ``z`` as it is: the solver passes its iterate, the
+        public measures their centered samples. :meth:`fill` fills ``pair``,
+        which is shifted in place, and one batched Cholesky factors it.
+        """
+        self.fill(s)
+        shifted = np.add(self.pair, self.shift, out=self.pair)
+        half = _half_logdet(_factor(shifted, self.epsilon, ("R_s", "R_e")))
+        return half[:, 0] - half[:, 1]
 
-    Copies ``s`` into ``ctx.z[..., :r, :]``, so one product gives
-    ``[S Sᵀ/N | Q]`` with ``Q = [R_sy L⁻ᵀ | m]``: every row of ``W`` has zero mean,
-    so ``S Wᵀ/N`` needs no centered ``S``. Then ``R_s = S Sᵀ/N - m mᵀ`` and
-    ``R_e = S Sᵀ/N - Q Qᵀ = R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ``, both symmetric
-    (``S Sᵀ/N`` is symmetrized, and numpy forms ``Q Qᵀ`` and ``m mᵀ`` symmetric).
-    The subtraction of ``m mᵀ`` cancels digits as the means grow against the
-    spread, which the polytope's bounds keep small for the solver's iterate; the
-    public measures center ``s`` first. On a stacked context ``s`` is (T, r, N)
-    and every product runs per trial. With several column blocks in ``ctx``
-    the product is summed over them. The means ``m`` are (…, r, 1).
-    """
-    r, pair = s.shape[-2], ctx.pair
-    np.copyto(ctx.top, s)
-    (_, top, z), *rest = ctx.parts
-    g = top @ z.mT
-    for _, top, z in rest:
-        g += top @ z.mT
-    g /= ctx.n
-    q, m = g[..., r:], g[..., -1:]
-    r_s = _symmetrize(g[..., :r], out=pair[..., 0, :, :])
-    np.subtract(r_s, q @ q.mT, out=pair[..., 1, :, :])
-    r_s -= m * m.mT
-    return q[..., :-1], m
+    def gradient(self, scale, out=None, step=False):
+        """``scale`` times the gradient at the last loaded sources, (T, r, N).
 
-
-class _Stats:
-    """LD-mutual information ``objective`` of sources ``s`` and the mixtures of ``ctx``.
-
-    ``s`` goes into ``ctx.z`` as it is: the solver passes its iterate, the
-    public measures their centered samples. One batched Cholesky of
-    ``ctx.pair`` (filled by :func:`_pair`, then shifted in place) gives the
-    factors of the shifted ``R_s`` and ``R_e``, and the gradient takes their
-    inverses with one batched inverse of the same pair. On a stacked context
-    ``s`` is (T, r, N) and ``objective`` holds one value per trial; every
-    product and factorization runs per trial, so each value is the one its
-    trial gives alone.
-    The gradient reads ``ctx.z`` and ``ctx.pair``: it holds until the next
-    ``_Stats`` on ``ctx``.
-    """
-
-    def __init__(self, s, ctx):
-        self.r_sw, self.m = _pair(s, ctx)
-        shifted = np.add(ctx.pair, ctx.shift, out=ctx.pair)
-        self.chol = _factor(shifted, ctx.epsilon, ("R_s", "R_e"))
-        half = _half_logdet(self.chol)
-        self.objective = half[..., 0] - half[..., 1]
-
-    def gradient(self, ctx, scale, out=None, step=False):
-        """``scale`` times the gradient, the r x (r+M+1) map ``C`` applied to ``ctx.z``.
-
+        The gradient is the r x (r+M+1) map ``C`` applied to ``z``:
         ``C = [A - B | B R_sy L⁻ᵀ | -(A - B) m] / N``, ``A = (R_s+eps I)^{-1}``,
-        ``B = (R_e+eps I)^{-1}``: the ones row of ``z`` centers ``S``. With
+        ``B = (R_e+eps I)^{-1}``, whose inverses come from one batched inverse
+        of the shifted ``pair``; the ones row of ``z`` centers ``S``. With
         ``step`` the map is ``C + [I | 0 | 0]``, so the product is the point
         ``s + scale * gradient``. It is written into ``out`` when given, one
-        column block of ``ctx`` at a time.
+        column block at a time.
         """
-        r, c = self.r_sw.shape[-2], ctx.c
-        ab = np.linalg.inv(ctx.pair)
-        a, b = ab[..., 0, :, :], ab[..., 1, :, :]
+        r, c = len(self.eye), self.c
+        ab = np.linalg.inv(self.pair)
+        a, b = ab[:, 0], ab[:, 1]
         # c is built as [B - A | B R_sy L⁻ᵀ | (B - A) m], whose last column needs
         # B - A as it stands; after the scaling its first block becomes A - B
         b_a = np.subtract(b, a, out=c[..., :r])
         np.matmul(b, self.r_sw, out=c[..., r:-1])
         np.matmul(b_a, self.m, out=c[..., -1:])
-        c *= scale / ctx.n
+        c *= scale / self.n
         if step:
-            np.subtract(ctx.eye, b_a, out=b_a)
+            np.subtract(self.eye, b_a, out=b_a)
         else:
             np.negative(b_a, out=b_a)
         if out is None:
-            out = np.empty((*c.shape[:-1], ctx.n))
-        for cols, _, z in ctx.parts:
+            out = np.empty((*c.shape[:-1], self.n))
+        for cols, _, z in self.parts:
             np.matmul(c, z, out=out[..., cols])
         return out
 
@@ -267,13 +249,13 @@ class _Stats:
 
 
 def _measure_inputs(s, y, epsilon):
-    """Check the ``(s, y, epsilon)`` of a measure; return ``s`` centered and the context of ``y``."""
+    """Check the ``(s, y, epsilon)`` of a measure; return ``s`` centered and the kernel of ``y``."""
     s = _as_samples(s, "s")
     y = _as_samples(y, "y")
     if s.shape[1] != y.shape[1]:
         raise ValueError(f"sample counts differ: s has {s.shape[1]}, y has {y.shape[1]}")
     _check_epsilon(epsilon)
-    return _center(s), _RunContext(y, epsilon, s.shape[0])
+    return _center(s), _Kernel([y], epsilon, s.shape[0])
 
 
 def sample_covariance(x):
@@ -333,9 +315,9 @@ def conditional_error_covariance(s, y, epsilon):
     epsilon : float
         Positive regularizer added to the diagonal of ``R_y`` before inversion.
     """
-    s, ctx = _measure_inputs(s, y, epsilon)
-    _pair(s, ctx)
-    return ctx.pair[1]
+    s, kernel = _measure_inputs(s, y, epsilon)
+    kernel.fill(s)
+    return kernel.pair[0, 1]
 
 
 def ld_mutual_information(s, y, epsilon):
@@ -352,4 +334,5 @@ def ld_mutual_information(s, y, epsilon):
     epsilon : float
         Positive regularizer applied to every log-determinant.
     """
-    return float(_Stats(*_measure_inputs(s, y, epsilon)).objective)
+    s, kernel = _measure_inputs(s, y, epsilon)
+    return float(kernel.load(s)[0])

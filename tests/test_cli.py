@@ -164,6 +164,12 @@ class TestConfigRoundtrip:
 BAD_CONFIGS = {
     "float_for_int": ("solver.iterations = 5.0\n", 1, "solver.iterations", "expected int, got '5.0'"),
     "word_for_float": ("scenario.snr_db = loud\n", 1, "scenario.snr_db", "expected float, got 'loud'"),
+    "nan_snr": (
+        "scenario.snr_db = nan\n", 1, "scenario.snr_db", "snr_db must be None, finite or inf, got nan",
+    ),
+    "minus_inf_snr": (
+        "scenario.snr_db = -inf\n", 1, "scenario.snr_db", "snr_db must be None, finite or inf, got -inf",
+    ),
     "custom_without_domains": (
         "# a custom polytope\nscenario.polytope = custom\n", 2, "scenario.polytope",
         "custom needs scenario.polytope.domains",

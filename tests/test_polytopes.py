@@ -385,7 +385,12 @@ OVERLAPPING = [
 
 # columns whose dual has kinks or zero multipliers at or near the optimum, with
 # their projections found by enumerating active sets in exact rational
-# arithmetic: the first came up in a 5,000-step solve on MIXED_PAIRS
+# arithmetic: the first came up in a 5,000-step solve on MIXED_PAIRS. The last
+# two, near |v| = 1e6, each raise without one rule of the kernel, and their
+# projections were checked against the KKT conditions by hand: the first moves
+# along a flat direction of the dual and needs the stop where a clipped
+# coordinate returns to 1/2; in the second a multiplier at zero gets a
+# negative Newton component and needs the re-solve with it bound
 KINK_COLUMNS = [
     (MIXED_PAIRS,
      [0.38557175501176033, 0.2848714099096099, -0.14204845690962342, 1.1420469337055967,
@@ -400,7 +405,20 @@ KINK_COLUMNS = [
     (THREE_GROUPS_NONNEG,
      [2.4999999995636752, 1.500000002270669, 2.4999999982934256, 2.9999999971744136],
      [0.9999999995293491, 4.706508833456675e-10, 0.9999999990586982, 4.706508833456675e-10]),
+    (PolytopeSpec(8, ("signed",) * 3 + ("nonneg", "nonneg", "signed", "nonneg", "nonneg"),
+                  ((0, 1, 2, 3, 4, 5), (0, 4, 5, 7), (1, 2, 5), (2, 3, 4, 6), (1, 2, 3, 4, 6, 7))),
+     [600625.5, -25777.75, 802986.25, 810238.5, 163123.5, -693929.25, -306084.0, 439245.5],
+     [0.0, 0.0, 0.0, 0.5, 0.0, -0.5, 0.0, 0.5]),
+    (PolytopeSpec(5, ("nonneg", "signed", "signed", "nonneg", "nonneg"),
+                  ((0, 1, 3, 4), (0, 1, 3, 4), (0, 2, 4), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4),
+                   (0, 2, 3, 4))),
+     [747548.5, -537380.0, 730694.0, 718358.5, -715219.0],
+     [1.0, 0.0, 0.0, 0.0, 0.0]),
 ]
+
+
+# the closed-form l1 balls, whose sums must not depend on the number of columns
+L1_BALLS = [(f"{name}_{r}", preset(name, r)) for name in ("l1", "l1_nonneg") for r in (5, 8, 12)]
 
 
 def varied_columns(dim, scale, rng):
@@ -433,7 +451,7 @@ class TestOverlapKernel:
         for j in range(31):  # the oracle's feasibility test fails at 1e6
             assert np.abs(out[:, j] - oracle.project(v[:, j])).max() <= 1e-12 * max(1.0, scale)
 
-    @pytest.mark.parametrize("name,p", OVERLAPPING)
+    @pytest.mark.parametrize("name,p", OVERLAPPING + L1_BALLS)
     def test_stack_equals_one_column_projections(self, name, p):
         rng = np.random.default_rng(32)
         v = np.hstack([varied_columns(p.dim, scale, rng) for scale in (0.5, 2.0, 1e3)])
@@ -454,7 +472,8 @@ class TestOverlapKernel:
 
     @pytest.mark.parametrize("p, v, exact", KINK_COLUMNS, ids=[
         "bounce_across_a_kink", "multiplier_a_rounding_error_above_zero",
-        "flat_direction_on_a_kink", "coordinates_on_kinks",
+        "flat_direction_on_a_kink", "coordinates_on_kinks", "flat_direction_stop",
+        "bound_set_re_solve",
     ])
     def test_kink_columns_match_exact_projection(self, p, v, exact):
         out = project_columns(p, np.array(v)[:, None])[:, 0]

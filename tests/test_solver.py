@@ -128,11 +128,11 @@ class TestGradient:
         # R_e - I (sources that the mixtures predict exactly)
         rng = np.random.default_rng(16)
         y = 10.0 * rng.standard_normal((4, 200))
-        ctx = solver_mod._RunContext(y, -1.0, 2)
+        kernel = solver_mod._Kernel([y], -1.0, 2)
         with pytest.raises(np.linalg.LinAlgError, match=r"^R_s \+ -1.0\*I"):
-            solver_mod._Stats(solver_mod._center(0.1 * rng.standard_normal((2, 200))), ctx)
+            kernel.load(solver_mod._center(0.1 * rng.standard_normal((2, 200))))
         with pytest.raises(np.linalg.LinAlgError, match=r"^R_e \+ -1.0\*I"):
-            solver_mod._Stats(solver_mod._center(y[:2]), ctx)
+            kernel.load(solver_mod._center(y[:2]))
 
     @pytest.mark.parametrize("case, message", [
         ("zero epsilon", "epsilon must be positive"),
@@ -228,9 +228,9 @@ class TestSharedKernel:
             y = rng.standard_normal((5, 60))
             for eps in (1e-5, 1e-2):
                 value = ld_mutual_information(s, y, eps)
-                ctx = solver_mod._RunContext(y, eps, s.shape[0])
-                assert value == solver_mod._Stats(solver_mod._center(s), ctx).objective
-                assert solver_mod._Stats(s, ctx).objective == pytest.approx(value, rel=1e-12)
+                kernel = solver_mod._Kernel([y], eps, s.shape[0])
+                assert value == kernel.load(solver_mod._center(s))[0]
+                assert kernel.load(s)[0] == pytest.approx(value, rel=1e-12)
 
 
 class TestStep:
@@ -322,18 +322,18 @@ class TestRun:
 
     def test_divergence_aborts_with_state(self, monkeypatch):
         scenario, p = small_scenario(seed=11)
-        real_stats = solver_mod._Stats
 
-        class PoisonedStats(real_stats):
+        class PoisonedKernel(solver_mod._Kernel):
             calls = 0
 
-            def __init__(self, s, ctx):
-                super().__init__(s, ctx)
-                PoisonedStats.calls += 1
-                if PoisonedStats.calls > 2:
-                    self.objective = np.full_like(self.objective, np.nan)
+            def load(self, s):
+                objective = super().load(s)
+                PoisonedKernel.calls += 1
+                if PoisonedKernel.calls > 2:
+                    objective = np.full_like(objective, np.nan)
+                return objective
 
-        monkeypatch.setattr(solver_mod, "_Stats", PoisonedStats)
+        monkeypatch.setattr(solver_mod, "_Kernel", PoisonedKernel)
         with pytest.raises(DivergenceError) as info:
             run(scenario.y, p, SolverConfig(iterations=10, seed=3))
         assert isinstance(info.value.state, SolverState)
@@ -378,25 +378,28 @@ def assert_same_solve(a, b):
     assert a.trajectory == b.trajectory
 
 
-def poison_stats(monkeypatch, real, marker, after, mode):
-    """From statistics call ``after`` + 1 on a context, fail the trials whose
-    whitened mixtures equal ``marker``: a Cholesky factor of theirs fails
+def poison_kernel(monkeypatch, marker, after, mode):
+    """From load ``after`` + 1 on a kernel, fail the trials whose whitened
+    mixtures equal ``marker``: a Cholesky factor of theirs fails
     (``"cholesky"``, which fails any stack they are in) or their objective
-    turns NaN (``"divergence"``). Each solve counts on its own context, so a
+    turns NaN (``"divergence"``). Each solve counts on its own kernel, so a
     trial solved alone fails at the same iteration in or out of a stack."""
 
-    class Poisoned(real):
-        def __init__(self, s, ctx):
-            ctx.calls = getattr(ctx, "calls", 0) + 1
-            r = s.shape[-2]
-            hit = np.array([np.array_equal(z[r:], marker) for z in ctx.z]) & (ctx.calls > after)
-            if mode == "cholesky" and hit.any():
-                raise np.linalg.LinAlgError(f"R_s + {ctx.epsilon}*I is not positive definite")
-            super().__init__(s, ctx)
-            if mode == "divergence":
-                self.objective = np.where(hit, np.nan, self.objective)
+    class Poisoned(solver_mod._Kernel):
+        calls = 0
 
-    monkeypatch.setattr(solver_mod, "_Stats", Poisoned)
+        def load(self, s):
+            self.calls += 1
+            r = s.shape[-2]
+            hit = np.array([np.array_equal(z[r:], marker) for z in self.z]) & (self.calls > after)
+            if mode == "cholesky" and hit.any():
+                raise np.linalg.LinAlgError(f"R_s + {self.epsilon}*I is not positive definite")
+            objective = super().load(s)
+            if mode == "divergence":
+                objective = np.where(hit, np.nan, objective)
+            return objective
+
+    monkeypatch.setattr(solver_mod, "_Kernel", Poisoned)
 
 
 def assert_stack_equals_single_solves(p, iterations):
@@ -427,7 +430,7 @@ class TestStack:
         # stack_inputs' N=300 samples in three blocks of 100 per trial
         monkeypatch.setattr(stats, "CACHE_BYTES", 100 * (5 + 8 + 1) * 8)
         y = stack_inputs(p, [30], 0)[0][0].y
-        assert len(stats._RunContext(y, 1e-5, 5).blocks) == 3
+        assert len(stats._Kernel([y], 1e-5, 5).blocks) == 3
         assert_stack_equals_single_solves(p, iterations)
 
     @pytest.mark.parametrize("mode", ["setup", "cholesky", "divergence", "record"])
@@ -443,8 +446,8 @@ class TestStack:
         if mode == "record":  # a truth one column short fails the SINR at iteration 0
             truths[bad] = truths[bad][:, :-1]
         if mode in ("cholesky", "divergence"):
-            marker = solver_mod._RunContext(ys[bad], cfgs[bad].epsilon, p.dim).z[p.dim:]
-            poison_stats(monkeypatch, solver_mod._Stats, marker, 12, mode)
+            marker = solver_mod._Kernel([ys[bad]], cfgs[bad].epsilon, p.dim).z[0, p.dim:]
+            poison_kernel(monkeypatch, marker, 12, mode)
         # the stack is solved again without nesting calls of the module's run,
         # whose spans a tracer sums
         calls = []

@@ -10,9 +10,7 @@ from ldinfomax.stats import (
     _LOG_2PI_E,
     _center,
     _cross,
-    _pair,
-    _RunContext,
-    _Stats,
+    _Kernel,
     conditional_error_covariance,
     ld_entropy,
     ld_mutual_information,
@@ -155,10 +153,11 @@ class TestConditionalErrorCovariance:
             eps = 10.0 ** rng.uniform(-6, -2)
             y = rng.standard_normal((m, m)) @ rng.standard_normal((m, n)) + 3.0
             s = rng.standard_normal((r, m)) @ y + rng.standard_normal((r, n))
-            chol = _Stats(_center(s), _RunContext(y, eps, r)).chol
+            kernel = _Kernel([y], eps, r)
+            kernel.load(_center(s))  # leaves the shifted pair it factored
             public = conditional_error_covariance(s, y, eps)
             assert np.array_equal(public, public.T)
-            assert np.array_equal(np.linalg.cholesky(public + eps * np.eye(r)), chol[1])
+            assert np.array_equal(public + eps * np.eye(r), kernel.pair[0, 1])
 
     def test_validation(self):
         s, y = np.eye(2), np.eye(2)
@@ -245,11 +244,11 @@ class TestUncenteredKernel:
         scenario, eps = self.scenario(), 1e-5
         s = (1.0 - 1.5e-3) + 1e-3 * scenario.s_true
         assert np.abs(s.mean(axis=1) - (1.0 - 1e-3)).max() < 2e-4
-        ctx = _RunContext(scenario.y, eps, s.shape[0])
-        _pair(s, ctx)
-        for kernel, oracle in zip(ctx.pair, two_pass_pair(s, scenario.y, eps)):
-            assert np.abs(kernel - oracle).max() <= 1e-12
-        objective = _Stats(s, _RunContext(scenario.y, eps, s.shape[0])).objective
+        kernel = _Kernel([scenario.y], eps, s.shape[0])
+        kernel.fill(s)
+        for value, oracle in zip(kernel.pair[0], two_pass_pair(s, scenario.y, eps)):
+            assert np.abs(value - oracle).max() <= 1e-12
+        (objective,) = kernel.load(s)
         assert objective == pytest.approx(ld_mutual_information(s, scenario.y, eps), abs=1e-9)
 
     def test_public_measures_on_offset_rows(self):
@@ -284,29 +283,28 @@ class TestColumnBlocks:
 
     def test_one_block_is_one_product(self):
         s, y = self.inputs()
-        ctx = _RunContext(y, 1e-5, 3)
-        assert ctx.blocks == [slice(0, 500)]
-        r_sw, _ = _pair(s, ctx)
-        product = r_sw.base  # _pair's product, of which R_sy L⁻ᵀ and m are views
-        assert product.shape == (3, 3 + 5 + 1)
-        assert np.array_equal(product, ctx.z[:3] @ ctx.z.T / 500)
+        kernel = _Kernel([y], 1e-5, 3)
+        assert kernel.blocks == [slice(0, 500)]
+        kernel.fill(s)
+        product = kernel.r_sw.base  # fill's product, of which R_sy L⁻ᵀ and m are views
+        assert product.shape == (1, 3, 3 + 5 + 1)
+        assert np.array_equal(product[0], kernel.z[0, :3] @ kernel.z[0].T / 500)
 
     def test_three_blocks_match_one(self, monkeypatch):
         s, y = self.inputs()
-        eps, one = 1e-5, _RunContext(y, 1e-5, 3)
+        eps, one = 1e-5, _Kernel([y], 1e-5, 3)
         monkeypatch.setattr(stats, "CACHE_BYTES", 200 * (3 + 5 + 1) * 8)
-        blocked = _RunContext(y, eps, 3)
+        blocked = _Kernel([y], eps, 3)
         assert [b.stop - b.start for b in blocked.blocks] == [167, 167, 166]
 
         def close(a, b):
             return np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
-        _pair(s, one)
-        _pair(s, blocked)
-        assert close(blocked.pair[0], one.pair[0]) and close(blocked.pair[1], one.pair[1])
-        a, b = _Stats(s, one), _Stats(s, blocked)
-        assert close(b.objective, a.objective)
-        assert close(b.gradient(blocked, 1.0), a.gradient(one, 1.0))
-        out = np.empty_like(s)
-        assert b.gradient(blocked, 0.5, out=out, step=True) is out
-        assert close(out, a.gradient(one, 0.5, step=True))
+        one.fill(s)
+        blocked.fill(s)
+        assert all(close(a, b) for a, b in zip(blocked.pair[0], one.pair[0]))
+        assert close(blocked.load(s), one.load(s))
+        assert close(blocked.gradient(1.0), one.gradient(1.0))
+        out = np.empty((1, *s.shape))
+        assert blocked.gradient(0.5, out=out, step=True) is out
+        assert close(out, one.gradient(0.5, step=True))
