@@ -6,16 +6,26 @@ equicorrelation generator matrix, mapped into the target polytope either by
 rejection (preserves the dependence structure inside the polytope) or by
 group-wise rescaling. Everything is reproducible from a single seed through
 numpy's PCG64 generator and spawned child sequences.
+
+Rejection of copula draws evaluates the t CDF only on columns that can be
+kept. A cached table of the CDF at the edges of a grid in x = t / (1 + |t|)
+bounds each source coordinate's magnitude from below; a column is dropped
+unevaluated only when some l1 group's bounds sum past 1 + 1e-9, and every
+other column is mapped and tested exactly as before. The bounds stay below
+the computed magnitudes (the tests allow 1e-12 above, far inside the 1e-9
+margin), so the kept columns, and every scenario byte, are those of
+evaluating every entry.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
-from .polytopes import PolytopeSpec, contains, preset
+from .polytopes import PolytopeSpec, _read_only, contains, preset
 
 __all__ = [
     "Scenario",
@@ -26,6 +36,10 @@ __all__ = [
 
 REJECTION_MIN_RATE = 1e-4
 REJECTION_PROBE = 20000
+# the bound table's cells over x = t / (1 + |t|) in [-1, 1], and how far a
+# group's bounds must sum past 1 before its column is dropped unevaluated
+_GRID_CELLS = 4096
+_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,12 +114,12 @@ def _check_rho(r, rho):
         )
 
 
-def _copula_t_uniforms(r, n, rho, dof, seed):
-    """Dependent uniforms in [0, 1] from a t-copula.
+def _copula_t(r, n, rho, dof, seed):
+    """Multivariate-t samples of the t-copula, an (r, n) array.
 
-    Multivariate-t samples are drawn as correlated Gaussians divided by
-    ``sqrt(chi2_dof / dof)`` and pushed through the univariate t CDF, giving
-    uniform marginals whose dependence is controlled by ``rho``.
+    They are correlated Gaussians divided by ``sqrt(chi2_dof / dof)``; the
+    univariate t CDF, ``stdtr(dof, t)``, maps them to uniform marginals whose
+    dependence is controlled by ``rho``.
 
     ``seed`` may be an integer or a ``numpy.random.Generator``.
     """
@@ -114,19 +128,64 @@ def _copula_t_uniforms(r, n, rho, dof, seed):
     chol = np.linalg.cholesky(corr)
     z = chol @ rng.standard_normal((r, n))
     w = rng.chisquare(dof, size=n)
-    t_samples = z / np.sqrt(w / dof)
-    return scipy_stats.t.cdf(t_samples, df=dof)
+    return z / np.sqrt(w / dof)
 
 
-def _sources_in_polytope(u, p, mode, draw):
-    """Map uniforms in [0, 1]^r into the polytope.
+@lru_cache(maxsize=16)
+def _bound_tables(dof):
+    """Lower bounds per grid cell on a copula source coordinate's magnitude:
+    ``u = stdtr(dof, t)`` on a nonneg coordinate and ``|2u - 1|`` on a signed
+    one, for the entries whose x = t / (1 + |t|) lies in the cell.
 
-    Nonnegative coordinates keep their uniform value; signed coordinates are
-    mapped to ``2u - 1``. Group l1 constraints are then enforced per column:
+    Cell j is [x_j, x_(j+1)) with x_j = -1 + 2j / _GRID_CELLS (the last index
+    is x = 1 alone). Each reads the CDF one edge beyond its own, towards smaller
+    magnitudes, so an entry whose x rounds into the cell above is still
+    bounded from below. The tables are cached per dof and read-only.
+    """
+    half = _GRID_CELLS // 2
+    x = np.linspace(-1.0, 1.0, _GRID_CELLS + 1)
+    with np.errstate(divide="ignore"):
+        u = stdtr(dof, x / (1.0 - np.abs(x)))  # t = -inf and inf at the ends
+    nonneg = np.concatenate(([0.0], u[:-1]))
+    signed = np.zeros(_GRID_CELLS + 1)
+    signed[half + 1:] = 2.0 * u[half:-1] - 1.0  # t >= 0: |s| grows with t
+    signed[:half - 1] = 1.0 - 2.0 * u[2:half + 1]  # t < 0: |s| falls with t
+    return _read_only(nonneg), _read_only(signed)
+
+
+def _magnitude_bounds(t, lower, dof):
+    """Lower bounds on ``|s|`` for copula samples ``t`` mapped onto the box
+    with per-coordinate lower bounds ``lower`` (-1 signed, 0 nonneg)."""
+    nonneg, signed = _bound_tables(dof)
+    x = np.abs(t)
+    x += 1.0
+    np.divide(t, x, out=x)
+    x *= _GRID_CELLS / 2
+    x += _GRID_CELLS / 2
+    cells = x.astype(np.intp)
+    bounds = np.empty(t.shape)
+    # clip: an infinite t gives x = nan, whose cast lands outside the table
+    for i, lo in enumerate(lower):
+        np.take(signed if lo < 0 else nonneg, cells[i], out=bounds[i], mode="clip")
+    return bounds
+
+
+def _sources_in_polytope(block, p, mode, draw, dof=None):
+    """Map a block of draws into the polytope.
+
+    The draws are uniforms in [0, 1]^r or, with ``dof``, copula samples
+    ``t`` whose uniforms are ``stdtr(dof, t)``. Nonnegative coordinates keep
+    their uniform value; signed coordinates are mapped to ``2u - 1``. Group
+    l1 constraints are then enforced per column:
 
     - ``mode="reject"``: violating columns are discarded and replaced with
-      fresh draws from ``draw(k)`` (a callable returning an (r, k) uniform
-      block) until the original column count is reached.
+      fresh draws from ``draw(k)`` (a callable returning an (r, k) block
+      like ``block``) until the original column count is reached. Copula
+      columns that a group's magnitude bounds (:func:`_magnitude_bounds`)
+      put past 1 + 1e-9 are discarded without evaluating the CDF; the rest
+      get the CDF and the exact test, on the block's full shape so that
+      each column's group sums are added in the same order as when every
+      entry is evaluated, which keeps the result unchanged bit for bit.
     - ``mode="scale"``: each violating group sub-vector is divided by its
       group l1 norm times (1 + 1e-9), which restores feasibility exactly.
 
@@ -135,30 +194,34 @@ def _sources_in_polytope(u, p, mode, draw):
     RuntimeError
         When rejection acceptance falls below 1e-4 (use "scale" instead).
     """
-    n_target = u.shape[1]
+    n_target = block.shape[1]
+    groups = [list(g) for g in p.l1_groups]
 
-    if mode == "scale":
-        s = _map_box(u, p)
-        for g in p.l1_groups:
-            g = list(g)
+    if mode == "scale" or not groups:
+        s = _map_box(block if dof is None else stdtr(dof, block), p)
+        for g in groups:  # none unless mode == "scale"
             norms = np.abs(s[g]).sum(axis=0)
             viol = norms > 1.0
             if np.any(viol):
                 s[np.ix_(g, np.flatnonzero(viol))] /= norms[viol] * (1.0 + 1e-9)
         return s
 
-    if not p.l1_groups:
-        return _map_box(u, p)
-
     accepted = []
     n_have = 0
     n_drawn = 0
-    block = u
     while True:
-        s = _map_box(block, p)
-        ok = np.ones(s.shape[1], dtype=bool)
-        for g in p.l1_groups:
-            ok &= np.abs(s[list(g)]).sum(axis=0) <= 1.0
+        ok = np.ones(block.shape[1], dtype=bool)
+        if dof is None:
+            u = block
+        else:
+            bounds = _magnitude_bounds(block, p.lower, dof)
+            for g in groups:
+                ok &= bounds[g].sum(axis=0) <= 1.0 + _BOUND_SLACK
+            u = np.zeros(block.shape)
+            u[:, ok] = stdtr(dof, block[:, ok])
+        s = _map_box(u, p)
+        for g in groups:
+            ok &= np.abs(s[g]).sum(axis=0) <= 1.0
         accepted.append(s[:, ok])
         n_have += int(ok.sum())
         n_drawn += s.shape[1]
@@ -238,14 +301,14 @@ def make_scenario(cfg):
     seed_src, seed_mix, seed_noise = seq.spawn(3)
     rng_src = np.random.default_rng(seed_src)
 
-    if cfg.source_mode == "copula_t":
-        def draw(k):
-            return _copula_t_uniforms(cfg.r, k, cfg.rho, cfg.dof, rng_src)
-    else:
-        def draw(k):
-            return rng_src.random((cfg.r, k))
+    dof = cfg.dof if cfg.source_mode == "copula_t" else None
 
-    s_true = _sources_in_polytope(draw(cfg.n), cfg.polytope, mode=cfg.l1_mode, draw=draw)
+    def draw(k):
+        if dof is None:
+            return rng_src.random((cfg.r, k))
+        return _copula_t(cfg.r, k, cfg.rho, dof, rng_src)
+
+    s_true = _sources_in_polytope(draw(cfg.n), cfg.polytope, cfg.l1_mode, draw, dof)
     h_mix = _mixing_matrix(cfg.m, cfg.r, seed_mix)
     y_clean = h_mix @ s_true
     y, sigma = _add_noise(y_clean, cfg.snr_db, seed_noise)

@@ -189,11 +189,11 @@ def test_criterion_6_convergence_curve_analog():
     """Noisy correlated scenario converges to >= 15 dB mean with a smooth tail.
 
     Paper-rule settings pinned by the criterion: eps = 1e-5 and
-    mu_k = 200/sqrt(k+1). Sources are dependent copula-t uniforms filling the
-    nonnegative unit box (the uniform-marginal reading of the experiment;
-    rejection-truncated simplex sources are super-Gaussian, contradicting
-    both the stated uniform sources and the all-sub-Gaussian baseline
-    configuration).
+    mu_k = 200/sqrt(k) at step k >= 1. Sources are dependent copula-t
+    uniforms filling the nonnegative unit box (the uniform-marginal reading
+    of the experiment; rejection-truncated simplex sources are
+    super-Gaussian, contradicting both the stated uniform sources and the
+    all-sub-Gaussian baseline configuration).
     """
     t0 = time.time()
     iterations, record_every = 20000, 2000

@@ -1,11 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
+import ldinfomax
+from ldinfomax import datagen
 from ldinfomax.datagen import (
     ScenarioConfig,
     _add_noise,
-    _copula_t_uniforms,
+    _copula_t,
+    _GRID_CELLS,
+    _magnitude_bounds,
     _mixing_matrix,
     _sources_in_polytope,
     _toeplitz_correlation,
@@ -13,6 +23,10 @@ from ldinfomax.datagen import (
     save_scenario,
 )
 from ldinfomax.polytopes import contains, preset
+
+
+def _copula_t_uniforms(r, n, rho, dof, seed):
+    return stdtr(dof, _copula_t(r, n, rho, dof, seed))
 
 
 class TestToeplitzCorrelation:
@@ -94,6 +108,68 @@ class TestSourcesInPolytope:
                 rng.random((12, 1000)), p, mode="reject",
                 draw=lambda k: rng.random((12, k)),
             )
+
+
+class TestMagnitudeBounds:
+    """The premise of the sampler's exactness: a column is dropped without
+    its CDF only if its magnitude bounds sum past 1 + 1e-9, so no bound may
+    exceed the magnitude the exact path computes by anywhere near that."""
+
+    @staticmethod
+    def _t_grid():
+        # cell edges in x = t / (1 + |t|), a dense linear and a dense log
+        # grid, the tails, signed zeros and +-1e300; each to three ulps aside
+        x = np.linspace(-1.0, 1.0, _GRID_CELLS + 1)[1:-1]
+        logs = np.logspace(-12, 12, 20001)
+        base = np.concatenate([
+            x / (1.0 - np.abs(x)), np.linspace(-50.0, 50.0, 20001), logs, -logs,
+            [0.0, -0.0, 1e30, -1e30, 1e300, -1e300],
+        ])
+        up, down, t = base, base, [base]
+        for _ in range(3):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            t += [up, down]
+        return np.concatenate(t)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 7, 30, 100])
+    def test_bound_never_exceeds_the_computed_magnitude(self, dof):
+        t = self._t_grid()
+        bounds = _magnitude_bounds(np.vstack([t, t]), np.array([0.0, -1.0]), dof)
+        u = stdtr(dof, t)
+        assert np.max(bounds[0] - u) <= 1e-12
+        assert np.max(bounds[1] - np.abs(2.0 * u - 1.0)) <= 1e-12
+
+    def test_cdf_evaluated_on_few_drawn_entries(self, monkeypatch):
+        drawn, evaluated = [], []
+
+        def counting_copula(*args):
+            t = _copula_t(*args)
+            drawn.append(t.size)
+            return t
+
+        def counting_stdtr(dof, t):
+            evaluated.append(np.size(t))
+            return stdtr(dof, t)
+
+        monkeypatch.setattr(datagen, "_copula_t", counting_copula)
+        monkeypatch.setattr(datagen, "stdtr", counting_stdtr)
+        datagen._bound_tables.cache_clear()  # the table's own CDF calls count too
+        sc = make_scenario(ScenarioConfig(r=5, n=2000, polytope=preset("l1", 5), seed=2))
+        assert sc.s_true.shape == (5, 2000)
+        assert sum(drawn) > 20 * 5 * 2000  # about 3% of l1 columns are kept
+        assert sum(evaluated) <= 0.1 * sum(drawn)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(ldinfomax.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ldinfomax.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestMixingMatrix:
