@@ -206,9 +206,9 @@ def contains(p, s, tol=FEASIBILITY_TOL):
     return max_violation(p, s) <= tol
 
 
-def _clamp(p, v):
-    """Project every column of ``v`` onto the box [p.lower, p.upper]."""
-    return np.clip(v, *p._clip_bounds)
+def _clamp(p, v, out=None):
+    """Project every column of ``v`` onto the box [p.lower, p.upper], into ``out`` when given."""
+    return np.clip(v, *p._clip_bounds, out=out)
 
 
 def _capped_simplex(u):
@@ -258,19 +258,23 @@ def _simplex_threshold(u):
     return theta
 
 
-def _l1_ball(v, signed):
-    """Project every column of ``v`` onto {sum(|x|) <= 1, x[~signed] >= 0}.
+def _l1_ball(v, signed, out=None):
+    """Project every column of ``v`` onto {sum(|x|) <= 1, x[~signed] >= 0}, into ``out``.
 
     A signed coordinate keeps its sign and shrinks in magnitude, so this is
     the capped-simplex projection of ``|v|`` on signed rows and of
     ``max(v, 0)`` on the others, with the signs put back. Inside a unit l1
-    ball the box constraints hold, so they need no separate step.
+    ball the box constraints hold, so they need no separate step. The
+    magnitudes are formed, thresholded and signed in ``out`` itself.
     """
+    if out is None:
+        out = np.empty_like(v)
     if not signed.any():
-        return _capped_simplex(np.maximum(v, 0.0))
+        return _capped_simplex(np.maximum(v, 0.0, out=out))
     if signed.all():
-        return np.copysign(_capped_simplex(np.abs(v)), v)
-    out = _capped_simplex(np.where(signed[:, None], np.abs(v), np.maximum(v, 0.0)))
+        return np.copysign(_capped_simplex(np.abs(v, out=out)), v, out=out)
+    np.copyto(out, np.where(signed[:, None], np.abs(v), np.maximum(v, 0.0)))
+    _capped_simplex(out)
     out[signed] = np.copysign(out[signed], v[signed])
     return out
 
@@ -482,7 +486,7 @@ def _newton_columns(p, v):
     return out
 
 
-def project_columns(p, s):
+def project_columns(p, s, out=None):
     """Project every column of ``s`` onto the polytope independently.
 
     Pairwise-disjoint groups (none at all included) separate, so the box
@@ -491,16 +495,27 @@ def project_columns(p, s):
     projected Newton on the group multipliers, which raises
     ``RuntimeError`` when a column is not settled after
     ``_NEWTON_MAX_STEPS`` steps.
+
+    The result is written into ``out`` when given, a float array of the
+    shape of ``s`` that shares no memory with it, and returned; every route
+    gives the same bits with or without ``out``.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != p.dim:
         raise ValueError(f"expected shape ({p.dim}, N), got {s.shape}")
+    if out is None:
+        out = np.empty_like(s)
+    elif not isinstance(out, np.ndarray) or out.shape != s.shape or out.dtype != s.dtype:
+        raise ValueError(f"out must be a float array of shape {s.shape}")
+    elif np.may_share_memory(out, s):
+        raise ValueError("out must not share memory with the columns it projects")
     route, groups, signed = p._route
     if route == "ball":
-        return _l1_ball(s, signed[0])
+        return _l1_ball(s, signed[0], out)
     if route == "disjoint":
-        out = _clamp(p, s)
+        _clamp(p, s, out)
         for g, signed_g in zip(groups, signed):
             out[g] = _l1_ball(s[g], signed_g)
         return out
-    return _newton_columns(p, s)
+    np.copyto(out, _newton_columns(p, s))
+    return out

@@ -292,19 +292,26 @@ def run(y, p, cfg, ground_truth=None):
 def _solve(ys, p, cfgs, truths):
     """The solver loop over a stack of trials; raises the first failure of any.
 
-    The iterate ``s`` is an (r, T, N) array, so ``project_columns`` takes every
-    column of every trial as one (r, T·N) view. Each iteration is two products
-    over the kernel's buffer ``[S ; W ; 1]``: the statistics, and the step's
-    point ``s + mu_k * grad`` written into one (r, T, N) buffer, which then
-    takes the weighted iterate. The running average is kept as its weighted
-    sum and divided by the total weight where it is read. A
-    :class:`DivergenceError` carries its trial's state.
+    The iterate ``s`` lives in the kernel's buffer ``[S ; W ; 1]``: its (r, T, N)
+    source rows, which ``project_columns`` reads and writes as one (r, T·N)
+    block of columns. Each iteration is two products over that buffer: the
+    step's point ``s + mu_k * grad`` written into one (r, T, N) buffer, which
+    the projection writes back into the source rows, and the statistics of
+    the new iterate, read where it lies. The step's buffer then takes the
+    weighted iterate: the running average is kept as its weighted sum and
+    divided by the total weight where it is read. A :class:`DivergenceError`
+    carries its trial's state.
     """
     cfg = cfgs[0]
     kernel = _Kernel(ys, cfg.epsilon, p.dim)
-    s = np.stack([initialize(y, p, c) for y, c in zip(ys, cfgs)], axis=1)
+    s, top = kernel.s, kernel.top
+    for i, (y, c) in enumerate(zip(ys, cfgs)):
+        top[i] = initialize(y, p, c)
     step, weighted, total = np.empty_like(s), np.zeros_like(s), 0.0
-    objective = kernel.load(s.swapaxes(0, 1))
+    # views of the step's buffer as the gradient and the projection take it,
+    # and of the source rows as the projection writes them
+    ahead, points, columns = step.swapaxes(0, 1), step.reshape(p.dim, -1), s.reshape(p.dim, -1)
+    objective = kernel.load(top)
     states = [SolverState(s=None, k=0, objective=math.nan, estimate=None) for _ in ys]
     finals = [None] * len(ys)
 
@@ -319,9 +326,9 @@ def _solve(ys, p, cfgs, truths):
 
     record(0)
     for k in range(1, cfg.iterations + 1):
-        kernel.gradient(cfg.mu0 / math.sqrt(k), out=step.swapaxes(0, 1), step=True)
-        s = project_columns(p, step.reshape(p.dim, -1)).reshape(step.shape)
-        objective = kernel.load(s.swapaxes(0, 1))
+        kernel.gradient(cfg.mu0 / math.sqrt(k), out=ahead, step=True)
+        project_columns(p, points, out=columns)
+        objective = kernel.load(top)
         # the sum's weight on iterate k over its total is (P+1)/(k+P), P = AVERAGING_POWER
         weight = float(math.prod(range(k, k + AVERAGING_POWER)))
         weighted += np.multiply(s, weight, out=step)

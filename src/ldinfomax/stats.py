@@ -9,8 +9,9 @@ LD-mutual information between two sample sets.
 The public functions validate their inputs, center the sources once and
 then load them into a private kernel of one trial, :class:`_Kernel`, built
 around one buffer of sources, whitened mixtures and a row of ones. The
-solver builds one kernel over its stack of trials and loads its uncentered
-iterate, without the validation or the centering: the kernel's
+solver builds one kernel over its stack of trials and keeps its uncentered
+iterate in the kernel's source rows, where each projection writes it and
+the statistics read it, without the validation or the centering: the kernel's
 ``S Sᵀ/N - m mᵀ`` loses digits only as the row means grow against the
 spread, which the polytope bounds for the iterate, so the solver's
 objective agrees with :func:`ld_mutual_information` to rounding. The
@@ -131,23 +132,29 @@ def _factor(shifted, epsilon, names):
 
 def _half_logdet(chol):
     """``0.5 * log det`` of each matrix whose lower Cholesky factor is in ``chol``."""
-    return np.add.reduce(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return np.add.reduce(np.log(chol.diagonal(0, -2, -1)), axis=-1)
 
 
 class _Kernel:
-    """The LD statistics of a stack of T >= 1 trials over one buffer ``z = [S ; W ; 1]``.
+    """The LD statistics of a stack of T >= 1 trials over one buffer ``[S ; W ; 1]``.
 
-    ``z`` is (T, r+M+1, N): per trial ``W = L⁻¹Y_c`` whitens the centered
+    The buffer is coordinate-major, (r+M+1, T, N), and ``z`` views it trial by
+    trial as (T, r+M+1, N): per trial ``W = L⁻¹Y_c`` whitens the centered
     mixtures by the lower Cholesky factor ``L`` of ``R_y + eps*I``, so that
     ``R_sy (R_y + eps*I)^{-1} Y_c = (S Wᵀ/N) W``; the sources ``S`` sit in the
     first r rows uncentered, and a last row of ones carries their means. The
-    trials' mixtures ``ys`` share one (M, N) shape and ``epsilon``. ``blocks``
-    cuts the N columns into the fewest equal slices whose (r+M+1)-row block of
-    one trial fits :data:`CACHE_BYTES`; ``top`` views the sources' rows of
-    ``z``, and ``parts`` holds per block its slice and its columns of ``top``
-    and of ``z``, built once so that an iteration slices nothing. The rest is
-    workspace: ``eye = I``, ``shift = eps*I``, the (T, 2, r, r) ``pair`` of
-    ``R_s`` and ``R_e`` and the gradient's (T, r, r+M+1) map ``c``.
+    trials' mixtures ``ys`` share one (M, N) shape and ``epsilon``. ``s`` is
+    the sources' rows, (r, T, N), one contiguous block that the solver keeps
+    its iterate in and projects into as (r, T·N) columns; ``top`` views them
+    as (T, r, N). ``blocks`` cuts the N columns into the fewest equal slices
+    whose (r+M+1)-row block of one trial fits :data:`CACHE_BYTES`, and
+    ``parts`` holds per block its slice and its columns of ``top`` and of
+    ``z``. The workspace is built once too, so that an iteration slices and
+    allocates no buffer over the samples: ``eye = I``, ``shift = eps*I``, the
+    (T, r, r+M+1) ``gram`` of the statistics product with its views
+    ``S Sᵀ/N``, ``Q = [R_sy L⁻ᵀ | m]``, ``r_sw = R_sy L⁻ᵀ`` and the means
+    ``m``, the (T, 2, r, r) ``pair`` with its views ``r_s`` and ``r_e``, and
+    the gradient's (T, r, r+M+1) map ``c`` with its three column blocks.
 
     :meth:`load` puts sources into ``z`` and returns the objective of each
     trial; :meth:`gradient` reads the state the last :meth:`load` left. Every
@@ -157,13 +164,15 @@ class _Kernel:
 
     def __init__(self, ys, epsilon, r):
         ys = [_as_samples(y, "mixtures") for y in ys]
-        m, self.n = ys[0].shape
+        (m, self.n), trials = ys[0].shape, len(ys)
         self.epsilon = float(epsilon)
-        self.z = np.empty((len(ys), r + m + 1, self.n))
+        buffer = np.empty((r + m + 1, trials, self.n))
+        self.s = buffer[:r]
+        self.z = buffer.swapaxes(0, 1)
         for z, y in zip(self.z, ys):
             yc = _center(y)
             z[r:-1] = solve_triangular(_cholesky(_covariance(yc), epsilon, "R_y"), yc, lower=True)
-        self.z[:, -1] = 1.0
+        buffer[-1] = 1.0
         fit = max(1, CACHE_BYTES // _trial_bytes(r, m, 1))  # columns per budget
         size = math.ceil(self.n / math.ceil(self.n / fit))
         self.blocks = [slice(i, min(i + size, self.n)) for i in range(0, self.n, size)]
@@ -171,13 +180,19 @@ class _Kernel:
         self.parts = [(cols, self.top[..., cols], self.z[..., cols]) for cols in self.blocks]
         self.eye = np.eye(r)
         self.shift = self.epsilon * self.eye
-        self.pair = np.empty((len(ys), 2, r, r))
-        self.c = np.empty((len(ys), r, r + m + 1))
+        self.gram = np.empty((trials, r, r + m + 1))
+        self.sst, q = self.gram[..., :r], self.gram[..., r:]
+        self.q, self.r_sw, self.m = q, q[..., :-1], q[..., -1:]
+        self.pair = np.empty((trials, 2, r, r))
+        self.r_s, self.r_e = self.pair[:, 0], self.pair[:, 1]
+        self.c = np.empty_like(self.gram)
+        self.c_parts = self.c[..., :r], self.c[..., r:-1], self.c[..., -1:]
 
     def fill(self, s):
         """Write ``R_s`` and ``R_e`` of sources ``s``, (T, r, N) or a trial's (r, N), into ``pair``.
 
-        Copies ``s`` into ``top``, so one product gives ``[S Sᵀ/N | Q]`` with
+        ``s`` is copied into ``top`` unless it is ``top`` itself, where the
+        solver keeps its iterate. One product gives ``[S Sᵀ/N | Q]`` with
         ``Q = [R_sy L⁻ᵀ | m]``: every row of ``W`` has zero mean, so ``S Wᵀ/N``
         needs no centered ``S``. Then ``R_s = S Sᵀ/N - m mᵀ`` and
         ``R_e = S Sᵀ/N - Q Qᵀ = R_s - R_sy (R_y + eps*I)^{-1} R_syᵀ``, both
@@ -185,28 +200,27 @@ class _Kernel:
         ``m mᵀ`` symmetric). The subtraction of ``m mᵀ`` cancels digits as the
         means grow against the spread, which the polytope's bounds keep small
         for the solver's iterate; the public measures center ``s`` first. With
-        several column blocks the product is summed over them. Keeps
-        ``R_sy L⁻ᵀ`` as ``r_sw`` and the (T, r, 1) means as ``m``.
+        several column blocks the products of the blocks are summed in order
+        into ``gram``.
         """
-        r, pair = len(self.eye), self.pair
-        np.copyto(self.top, s)
+        if s is not self.top:
+            np.copyto(self.top, s)
         (_, top, z), *rest = self.parts
-        g = top @ z.mT
+        gram = np.matmul(top, z.mT, out=self.gram)
         for _, top, z in rest:
-            g += top @ z.mT
-        g /= self.n
-        q, self.m = g[..., r:], g[..., -1:]
-        self.r_sw = q[..., :-1]
-        r_s = _symmetrize(g[..., :r], out=pair[:, 0])
-        np.subtract(r_s, q @ q.mT, out=pair[:, 1])
-        r_s -= self.m * self.m.mT
+            gram += top @ z.mT
+        gram /= self.n
+        _symmetrize(self.sst, out=self.r_s)
+        np.subtract(self.r_s, self.q @ self.q.mT, out=self.r_e)
+        self.r_s -= self.m * self.m.mT
 
     def load(self, s):
         """The LD-mutual information of each trial's sources ``s`` and mixtures, a (T,) array.
 
-        ``s`` goes into ``z`` as it is: the solver passes its iterate, the
-        public measures their centered samples. :meth:`fill` fills ``pair``,
-        which is shifted in place, and one batched Cholesky factors it.
+        ``s`` goes into ``z`` as it is: the solver passes ``top``, which holds
+        its iterate, the public measures their centered samples. :meth:`fill`
+        fills ``pair``, which is shifted in place, and one batched Cholesky
+        factors it.
         """
         self.fill(s)
         shifted = np.add(self.pair, self.shift, out=self.pair)
@@ -224,14 +238,14 @@ class _Kernel:
         ``s + scale * gradient``. It is written into ``out`` when given, one
         column block at a time.
         """
-        r, c = len(self.eye), self.c
+        c, (c_ab, c_w, c_m) = self.c, self.c_parts
         ab = np.linalg.inv(self.pair)
         a, b = ab[:, 0], ab[:, 1]
         # c is built as [B - A | B R_sy L⁻ᵀ | (B - A) m], whose last column needs
         # B - A as it stands; after the scaling its first block becomes A - B
-        b_a = np.subtract(b, a, out=c[..., :r])
-        np.matmul(b, self.r_sw, out=c[..., r:-1])
-        np.matmul(b_a, self.m, out=c[..., -1:])
+        b_a = np.subtract(b, a, out=c_ab)
+        np.matmul(b, self.r_sw, out=c_w)
+        np.matmul(b_a, self.m, out=c_m)
         c *= scale / self.n
         if step:
             np.subtract(self.eye, b_a, out=b_a)

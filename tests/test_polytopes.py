@@ -357,6 +357,89 @@ class TestProjectColumns:
             project_columns(preset("linf", 3), np.zeros((2, 5)))
 
 
+# every route of project_columns: box with one tag (scalar bounds) and with
+# mixed tags (column bounds), one group over every coordinate (signed,
+# nonnegative, mixed tags), disjoint groups and overlapping groups
+OUT_ROUTES = [
+    ("box_scalar", preset("linf", 4)),
+    ("box_scalar_nonneg", preset("linf_nonneg", 4)),
+    ("box_columns", MIXED_DOMAINS),
+    ("ball", preset("l1", 4)),
+    ("ball_nonneg", preset("l1_nonneg", 4)),
+    ("ball_mixed_tags", PolytopeSpec(3, ("signed", "nonneg", "signed"), ((0, 1, 2),))),
+    ("disjoint", DISJOINT_GROUPS),
+    ("overlap", MIXED_PAIRS),
+]
+
+
+def out_columns(dim, rng):
+    """Columns in and out of every route's polytope, with -0.0 entries and
+    columns exactly on the unit l1 sphere (powers of two summing to 1)."""
+    v = rng.uniform(-1.5, 1.5, (dim, 120))
+    v[:, 40:80] *= 0.2  # mostly inside the ball
+    v[:, :2] = -0.0
+    v[0, 2:60:3] = -0.0
+    sphere = 2.0 ** -np.arange(1, dim + 1)
+    sphere[-1] *= 2.0
+    v[:, 100] = sphere
+    v[:, 101] = -sphere
+    v[:, 102] = sphere * (-1.0) ** np.arange(dim)
+    v[:, 103] = 0.0
+    v[-1, 103] = -1.0
+    return v
+
+
+class TestProjectColumnsOut:
+    @pytest.mark.parametrize("name,p", OUT_ROUTES)
+    def test_out_holds_the_returned_bits(self, name, p):
+        v = out_columns(p.dim, np.random.default_rng(40))
+        expected = project_columns(p, v)
+        out = np.full_like(v, np.nan)
+        assert project_columns(p, v, out=out) is out
+        assert same_bytes(out, expected)
+        assert contains(p, out)
+
+    @pytest.mark.parametrize("name,p", OUT_ROUTES)
+    def test_out_as_a_view_of_a_larger_buffer(self, name, p):
+        # the solver's source rows: the first rows of a (rows, T, N) buffer
+        v = out_columns(p.dim, np.random.default_rng(41))
+        buffer = np.full((p.dim + 3, 2, v.shape[1] // 2), np.nan)
+        out = buffer[:p.dim].reshape(p.dim, -1)
+        project_columns(p, v, out=out)
+        assert same_bytes(buffer[:p.dim].reshape(p.dim, -1), project_columns(p, v))
+        assert np.isnan(buffer[p.dim:]).all()
+
+    @pytest.mark.parametrize("dim", [1, 4, 5])
+    def test_signed_ball_keeps_columns_inside_bit_for_bit(self, dim):
+        # a column on or inside the signed ball is its own projection, -0.0
+        # entries included: copysign(|v|, v) is v for every finite v
+        p = preset("l1", dim)
+        v = out_columns(dim, np.random.default_rng(42))
+        out = project_columns(p, v, out=np.empty_like(v))
+        inside = np.abs(v).sum(axis=0) <= 1.0
+        assert inside[[0, 1, 100, 101, 102, 103]].all() and inside.sum() > 10
+        assert same_bytes(out[:, inside], v[:, inside])
+        assert np.signbit(out[:, :2]).all()
+        assert contains(p, out) and not np.array_equal(out[:, ~inside], v[:, ~inside])
+
+    @pytest.mark.parametrize("name,p", OUT_ROUTES)
+    def test_zero_columns_into_out(self, name, p):
+        out = np.empty((p.dim, 0))
+        assert project_columns(p, np.zeros((p.dim, 0)), out=out) is out
+
+    @pytest.mark.parametrize("name,p", OUT_ROUTES)
+    def test_bad_out_raises(self, name, p):
+        v = out_columns(p.dim, np.random.default_rng(43))
+        for bad in (np.empty((p.dim, v.shape[1] - 1)), np.empty((v.shape[1], p.dim)),
+                    np.empty(v.shape, dtype=np.float32), v.tolist()):
+            with pytest.raises(ValueError, match="out must be a float array"):
+                project_columns(p, v, out=bad)
+        buffer = np.zeros((p.dim + 1, v.shape[1]))
+        for s, shared in ((v, v), (v, v[::-1]), (buffer[:p.dim], buffer[1:])):
+            with pytest.raises(ValueError, match="out must not share memory"):
+                project_columns(p, s, out=shared)
+
+
 # columns of the first steps of a solve on MIXED_PAIRS on which Dykstra's
 # alternating projection stopped at its 200-sweep cap: the first three
 # feasible yet a unit away from the projection, the last one infeasible
