@@ -77,8 +77,9 @@ def _trials(cfg, rhos, algos):
     Trial ``t`` seeds its scenario, solver and ICA with the master seed + ``t``.
     The trials of each correlation go in chunks (:func:`_chunk`), whose LD
     trials run as one stacked :func:`solver.run`: at most as many as keep the
-    stacked (T, r+M+1, N) float64 buffer within :data:`stats.CACHE_BYTES`
-    (9 at r=5, M=8, N=2,000), and at most the trials divided by the usable
+    solve's working set, the stacked (r+M+1, T, N) float64 buffer with the
+    (r, T, N) step and weighted-sum buffers, within :data:`stats.CACHE_BYTES`
+    (5 at r=5, M=8, N=2,000), and at most the trials divided by the usable
     CPUs, rounded up, so that every CPU gets a share; the chunks run on one
     worker process per CPU (:func:`_map_chunks`). Yields
     ``(trial, seed, results)`` in (rho, trial) order, each chunk's once it and
@@ -89,7 +90,7 @@ def _trials(cfg, rhos, algos):
     """
     sc = cfg.scenario
     cpus = _usable_cpus()
-    fit = stats.CACHE_BYTES // stats._trial_bytes(sc.r, sc.m, sc.n)
+    fit = stats.CACHE_BYTES // stats._solve_bytes(sc.r, sc.m, sc.n)
     size = max(1, min(fit, math.ceil(cfg.trials / cpus)))
     chunks = [
         (cfg, rho, range(first, min(first + size, cfg.trials)), algos)

@@ -2,16 +2,17 @@
 
 Separation quality is only defined up to a row permutation and per-row sign
 flips, so every metric first resolves that ambiguity: the assignment that
-minimizes the mean square error is found with the Hungarian method on
-absolute row inner products (exactly equivalent to minimizing the MSE over
-all permutation/sign combinations), after which MSE and SINR are computed
-against the aligned ground truth.
+minimizes the mean square error is found by the shortest augmenting path
+method, the one scipy's ``linear_sum_assignment`` runs, on absolute row inner
+products (exactly equivalent to minimizing the MSE over all permutation/sign
+combinations), after which MSE and SINR are computed against the aligned
+ground truth.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .stats import _as_samples
 
@@ -82,11 +83,72 @@ def _alignment(s_est, s_true):
     dead estimate.
     """
     inner = s_est @ s_true.T
-    _, cols = linear_sum_assignment(-np.abs(inner))
-    perm = tuple(int(c) for c in cols)
+    perm = tuple(_assignment(-np.abs(inner)))
     matched = inner[np.arange(len(perm)), list(perm)]
     signs = tuple(1 if v >= 0 else -1 for v in matched)
     return Alignment(perm, signs)
+
+
+def _assignment(cost):
+    """Columns of a least-cost assignment of the square matrix ``cost``, row by row.
+
+    Crouse's shortest augmenting path (D. F. Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016), ported line for line
+    from scipy's ``rectangular_lsap`` so that it returns the columns
+    ``scipy.optimize.linear_sum_assignment`` returns: the duals start at zero,
+    ``remaining`` is filled in reverse (a constant matrix gives the identity),
+    among columns of equal lowest path cost one without a row is taken, and
+    each reduced cost is summed in scipy's order. Raises ``ValueError`` on NaN
+    or -inf entries and when no assignment of finite cost exists.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if not np.all(cost > -math.inf):  # false on NaN too
+        raise ValueError("matrix contains invalid numeric entries")
+    c, n = cost.tolist(), len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # the shortest augmenting path from row cur, grown one column at a time
+        i, min_val, sink = cur, 0.0, -1
+        remaining = list(range(n - 1, -1, -1))
+        costs = [math.inf] * n
+        rows_seen, cols_seen = [], []
+        while sink == -1:
+            index, lowest = -1, math.inf
+            ci, ui = c[i], u[i]
+            for it, j in enumerate(remaining):
+                h, r = costs[j], min_val + ci[j] - ui - v[j]
+                if r < h:
+                    path[j] = i
+                    costs[j] = h = r
+                if h < lowest or (h == lowest and row4col[j] == -1):
+                    lowest, index = h, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                rows_seen.append(i)
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # update the duals, then augment the assignment along the path
+        u[cur] += min_val
+        for i in rows_seen:
+            u[i] += min_val - costs[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - costs[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def _mse(s_est, s_true, alignment):

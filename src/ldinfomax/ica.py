@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .evaluation import _assignment
 from .stats import _as_samples, _center, _covariance
 
 __all__ = [
@@ -214,7 +214,7 @@ def affine_match_to_reference(s_est, s_ref):
     e_sq = np.maximum(np.sum(ec * ec, axis=1), np.finfo(float).tiny)
     t_sq = np.maximum(np.sum(tc * tc, axis=1), np.finfo(float).tiny)
     corr = np.abs(inner) / np.sqrt(np.outer(e_sq, t_sq))
-    rows, cols = linear_sum_assignment(-corr)
-    scale = inner[rows, cols] / e_sq[rows]
+    cols = _assignment(-corr)
+    scale = inner[np.arange(len(cols)), cols] / e_sq
     offset = s_ref[cols].mean(axis=1)
     return scale[:, None] * ec + offset[:, None]

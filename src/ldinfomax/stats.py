@@ -40,7 +40,8 @@ _SYMMETRY_RTOL = 1e-12
 # the working-set budget of one buffer over the samples: the kernel cuts the
 # (r+M+1)-row buffer of one trial into the fewest equal column blocks that each
 # fit it (one block at r=5, M=8, N=2,000, two at N=20,000), and the CLI stacks
-# at most as many trials as fit it (9 at r=5, M=8, N=2,000)
+# at most as many trials as fit it with the solver's step and weighted-sum
+# buffers, 3r+M+1 rows a trial (5 at r=5, M=8, N=2,000)
 CACHE_BYTES = 2 * 1024 * 1024
 
 
@@ -60,6 +61,12 @@ def _as_samples(x, name="x", min_samples=2):
 def _trial_bytes(r, m, n):
     """Bytes of one trial's stacked buffer ``z = [S ; W ; 1]``: r+M+1 rows of N float64."""
     return (r + m + 1) * n * 8
+
+
+def _solve_bytes(r, m, n):
+    """Bytes one trial's solve iterates over: ``z`` plus the solver's r-row step
+    and weighted-sum buffers, 3r+M+1 rows of N float64."""
+    return (3 * r + m + 1) * n * 8
 
 
 def _symmetrize(a, out=None):

@@ -2,13 +2,17 @@ import csv
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ldinfomax
 from ldinfomax import cli, ica, solver, stats
 from ldinfomax.cli import main
 from ldinfomax.config import ExperimentConfig, load_experiment, save_experiment
@@ -16,6 +20,22 @@ from ldinfomax.datagen import ScenarioConfig
 from ldinfomax.ica import IcaConfig
 from ldinfomax.polytopes import PolytopeSpec, preset
 from ldinfomax.solver import SolverConfig
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # a fresh interpreter: the package's import must pull in neither subpackage
+    src = str(Path(ldinfomax.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, ldinfomax.cli; "
+        "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 SIDECAR_TEXT = """\
@@ -423,13 +443,15 @@ class TestWorkers:
         assert getattr(back, "state", None) == getattr(error, "state", None)
 
     def test_stacks_fill_the_cache_budget(self, monkeypatch):
-        # one trial's buffer at r=5, M=8, N=2,000 is (5+8+1) x 2,000 float64, 224,000
-        # bytes, so 9 trials fit the 2 MiB budget; one CPU takes every chunk
+        # one trial's solve at r=5, M=8, N=2,000 iterates over (3*5+8+1) x 2,000
+        # float64, 384,000 bytes, so 5 trials fit the 2 MiB budget; one CPU takes
+        # every chunk
+        assert stats._solve_bytes(5, 8, 2000) == 384_000
         chunks = []
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(cli, "_map_chunks", lambda c, workers: chunks.extend(c) or [])
         cfg = ExperimentConfig(scenario=ScenarioConfig(r=5, m=8, n=2000), trials=20)
-        for budget, sizes in ((stats.CACHE_BYTES, [9, 9, 2]), (4 * 14 * 2000 * 8, [4] * 5)):
+        for budget, sizes in ((stats.CACHE_BYTES, [5] * 4), (4 * 24 * 2000 * 8, [4] * 5)):
             monkeypatch.setattr(stats, "CACHE_BYTES", budget)
             chunks.clear()
             assert list(cli._trials(cfg, (0.0,), ("ld_infomax",))) == []
@@ -442,7 +464,7 @@ class TestWorkers:
         save_experiment(
             small_experiment(seed=20, algo="both", rho_grid=(0.0, 0.3), trials=5), cfg_path
         )
-        monkeypatch.setattr(stats, "CACHE_BYTES", 4 * (2 + 4 + 1) * 200 * 8)
+        monkeypatch.setattr(stats, "CACHE_BYTES", 4 * stats._solve_bytes(2, 4, 200))
         real_scenario, real_run, real_ica = cli.make_scenario, solver.run, ica.ica_separate
 
         def scenario_fails_on_21(scenario_cfg):
@@ -505,7 +527,7 @@ class TestWorkers:
                              trials=4, rho_grid=(0.0, 0.25)),
             cfg_path,
         )
-        monkeypatch.setattr(stats, "CACHE_BYTES", 2 * (5 + 6 + 1) * 500 * 8)
+        monkeypatch.setattr(stats, "CACHE_BYTES", 2 * stats._solve_bytes(5, 6, 500))
         return cfg_path
 
     def test_worker_warnings_reach_the_parent_in_trial_order(self, tmp_path, monkeypatch):

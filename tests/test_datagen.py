@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 from scipy.special import stdtr
 
-import ldinfomax
 from ldinfomax import datagen
 from ldinfomax.datagen import (
     ScenarioConfig,
@@ -158,18 +152,6 @@ class TestMagnitudeBounds:
         assert sc.s_true.shape == (5, 2000)
         assert sum(drawn) > 20 * 5 * 2000  # about 3% of l1 columns are kept
         assert sum(evaluated) <= 0.1 * sum(drawn)
-
-
-def test_cli_import_leaves_scipy_stats_unloaded():
-    src = str(Path(ldinfomax.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ldinfomax.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert done.stdout.strip() == "False"
 
 
 class TestMixingMatrix:

@@ -3,12 +3,14 @@ import pytest
 
 from ldinfomax.evaluation import (
     Alignment,
+    _assignment,
     _mse,
     aggregate,
     evaluate,
     sinr_db,
 )
 from oracles import exhaustive_alignment_mse
+from scipy.optimize import linear_sum_assignment
 
 
 class TestAlignment:
@@ -46,6 +48,68 @@ class TestBestAlignment:
         s_est = mix @ s_true
         value = evaluate(s_est, s_true).mse
         assert value == pytest.approx(exhaustive_alignment_mse(s_est, s_true), abs=1e-12)
+
+
+def _costs(kind, rng, r):
+    """One r x r cost matrix of the named kind."""
+    if kind == "normal":
+        return rng.standard_normal((r, r))
+    if kind == "integer_ties":
+        return rng.integers(-2, 3, (r, r)).astype(float)
+    if kind == "decimal_ties":
+        # multiples of 0.1 round as they are summed, so ties hang on the order of the sums
+        return rng.integers(0, 10, (r, r)) * 0.1
+    if kind == "constant":
+        return np.full((r, r), rng.standard_normal())
+    if kind == "zero_row_and_column":
+        c = rng.integers(-3, 3, (r, r)).astype(float)
+        c[rng.integers(r)] = 0.0
+        c[:, rng.integers(r)] = 0.0
+        return c
+    if kind == "near_1e300":
+        return rng.standard_normal((r, r)) * 1e300
+    # some +inf entries, as long as an assignment of finite cost remains
+    c = -np.abs(rng.standard_normal((r, r)))
+    c[rng.random((r, r)) < 0.3] = np.inf
+    c[np.arange(r), rng.permutation(r)] = -1.0
+    return c
+
+
+class TestAssignment:
+    KINDS = (
+        "normal", "integer_ties", "decimal_ties", "constant", "zero_row_and_column", "near_1e300", "inf",
+    )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_returns_scipys_columns(self, kind):
+        # 900 matrices per kind, r from 1 to 15, 6,300 in all
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        for k in range(900):
+            c = _costs(kind, rng, 1 + k % 15)
+            assert _assignment(c) == linear_sum_assignment(c)[1].tolist()
+
+    def test_constant_matrix_gives_the_identity(self):
+        assert _assignment(np.ones((6, 6))) == list(range(6))
+
+    def test_empty(self):
+        assert _assignment(np.empty((0, 0))) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_invalid_entries_raise_as_scipy_does(self, bad):
+        c = np.zeros((3, 3))
+        c[1, 2] = bad
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            linear_sum_assignment(c)
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            _assignment(c)
+
+    def test_infeasible_matrix_raises_as_scipy_does(self):
+        c = np.zeros((4, 4))
+        c[:, 1] = np.inf
+        with pytest.raises(ValueError, match="infeasible"):
+            linear_sum_assignment(c)
+        with pytest.raises(ValueError, match="infeasible"):
+            _assignment(c)
 
 
 class TestMse:
