@@ -39,9 +39,10 @@ _SYMMETRY_RTOL = 1e-12
 
 # the working-set budget of one buffer over the samples: the kernel cuts the
 # (r+M+1)-row buffer of one trial into the fewest equal column blocks that each
-# fit it (one block at r=5, M=8, N=2,000, two at N=20,000), and the CLI stacks
-# at most as many trials as fit it with the solver's step and weighted-sum
-# buffers, 3r+M+1 rows a trial (5 at r=5, M=8, N=2,000)
+# fit it (one block at r=5, M=8, N=2,000, two at N=20,000), the CLI stacks at
+# most as many trials as fit it with the solver's step and weighted-sum buffers,
+# 3r+M+1 rows a trial (5 at r=5, M=8, N=2,000), and datagen's rejection sampler
+# tests each block of draws in chunks whose four r-row temporaries fit it
 CACHE_BYTES = 2 * 1024 * 1024
 
 

@@ -1,9 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 from scipy.special import stdtr
+from test_scenario_bytes import SCENARIO_CASES, SCENARIO_DIGESTS
 
-from ldinfomax import datagen
+from ldinfomax import datagen, stats
 from ldinfomax.datagen import (
     ScenarioConfig,
     _add_noise,
@@ -152,6 +156,48 @@ class TestMagnitudeBounds:
         assert sc.s_true.shape == (5, 2000)
         assert sum(drawn) > 20 * 5 * 2000  # about 3% of l1 columns are kept
         assert sum(evaluated) <= 0.1 * sum(drawn)
+
+
+# these draw 32,000 to 620,000 columns each (the others at most 25,000), about
+# 50 s together at one column per chunk, so they run at 7 and 4,096 only
+MANY_DRAWS = {
+    "l1-copula_t", "l1-uniform_iid", "l1_nonneg-uniform_iid", "l1-dof1", "l1-dof4",
+    "l1-dof30", "l1-r8", "l1-n2000", "l1-n20000",
+}
+CHUNK_CASES = [
+    (width, case) for width in (1, 7, 4096) for case in SCENARIO_CASES
+    if width > 1 or case not in MANY_DRAWS
+]
+
+
+class TestChunkedRejection:
+    """The sampler works through each drawn block in column chunks sized by
+    ``stats.CACHE_BYTES``; no chunk width may change a byte, and a block's
+    temporaries stay chunk-sized."""
+
+    @pytest.mark.parametrize("width,case", CHUNK_CASES)
+    def test_digests_at_chunk_width(self, monkeypatch, width, case):
+        cfg = ScenarioConfig(**SCENARIO_CASES[case])
+        monkeypatch.setattr(stats, "CACHE_BYTES", 32 * cfg.r * width)
+        assert datagen._chunk_columns(cfg.r) == width
+        sc = make_scenario(cfg)
+        got = tuple(
+            hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in (sc.s_true, sc.h_mix, sc.y)
+        )
+        assert got == SCENARIO_DIGESTS[case]
+
+    def test_heavy_scenario_peak_memory(self):
+        # three 200,000-column blocks are drawn: one block of draws and
+        # chunk-sized temporaries stay below two blocks
+        cfg = ScenarioConfig(r=5, n=20000, polytope=preset("l1", 5), seed=3000)
+        tracemalloc.start()
+        try:
+            make_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * cfg.r * datagen._DRAW_CAP * 8
 
 
 class TestMixingMatrix:
