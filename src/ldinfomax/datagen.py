@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import stdtr
 
-from .polytopes import PolytopeSpec, _read_only, contains, preset
+from .polytopes import PolytopeSpec, _column_sums, _read_only, contains, preset
 
 __all__ = [
     "Scenario",
@@ -262,7 +262,7 @@ def _within_groups(x, groups, limit):
     rows added in row order, as a whole block's ``sum(axis=0)`` adds them."""
     ok = np.ones(x.shape[1], dtype=bool)
     for g in groups:
-        ok &= sum((x[i] for i in g[1:]), x[g[0]]) <= limit
+        ok &= _column_sums(x, rows=g) <= limit
     return ok
 
 

@@ -218,12 +218,22 @@ def _capped_simplex(u):
     feasible; any other lands on the simplex face as ``max(u - theta, 0)``.
     Overwrites and returns ``u``, which saves a pass over the samples.
     """
-    over = (_column_sums(u) > 1.0).nonzero()[0]
+    over, moved = _over_budget(u)
     if over.size:
-        uo = u.take(over, axis=1)
-        uo -= _simplex_threshold(uo)
-        u[:, over] = np.maximum(uo, 0.0, out=uo)
+        u[:, over] = moved
     return u
+
+
+def _over_budget(u):
+    """The columns of nonnegative ``u`` summing to more than 1, and their
+    projections ``max(u - theta, 0)`` onto the simplex face (None when there
+    are none)."""
+    over = (_column_sums(u) > 1.0).nonzero()[0]
+    if not over.size:
+        return over, None
+    uo = u.take(over, axis=1)
+    uo -= _simplex_threshold(uo)
+    return over, np.maximum(uo, 0.0, out=uo)
 
 
 def _simplex_threshold(u):
@@ -265,14 +275,21 @@ def _l1_ball(v, signed, out=None):
     the capped-simplex projection of ``|v|`` on signed rows and of
     ``max(v, 0)`` on the others, with the signs put back. Inside a unit l1
     ball the box constraints hold, so they need no separate step. The
-    magnitudes are formed, thresholded and signed in ``out`` itself.
+    magnitudes are formed, thresholded and signed in ``out`` itself. When
+    every row is signed, ``out`` takes ``v`` back after the magnitudes are
+    summed, which is ``copysign(|v|, v)`` bit for bit, and only the columns
+    over the budget are written again, thresholded and signed.
     """
     if out is None:
         out = np.empty_like(v)
     if not signed.any():
         return _capped_simplex(np.maximum(v, 0.0, out=out))
     if signed.all():
-        return np.copysign(_capped_simplex(np.abs(v, out=out)), v, out=out)
+        over, moved = _over_budget(np.abs(v, out=out))
+        np.copyto(out, v)
+        if over.size:
+            out[:, over] = np.copysign(moved, v.take(over, axis=1), out=moved)
+        return out
     np.copyto(out, np.where(signed[:, None], np.abs(v), np.maximum(v, 0.0)))
     _capped_simplex(out)
     out[signed] = np.copysign(out[signed], v[signed])
@@ -291,11 +308,12 @@ def _sum_rows(x, index):
     return out
 
 
-def _column_sums(x):
-    """Sum of the rows of ``x``, added in row order."""
-    out = x[0].copy()
-    for row in x[1:]:
-        out += row
+def _column_sums(x, rows=None):
+    """Sum of the rows of ``x``, or of its rows ``rows``, added in row order."""
+    first, *rest = range(len(x)) if rows is None else rows
+    out = x[first].copy()
+    for i in rest:
+        out += x[i]
     return out
 
 

@@ -297,10 +297,12 @@ def _solve(ys, p, cfgs, truths):
     block of columns. Each iteration is two products over that buffer: the
     step's point ``s + mu_k * grad`` written into one (r, T, N) buffer, which
     the projection writes back into the source rows, and the statistics of
-    the new iterate, read where it lies. The step's buffer then takes the
-    weighted iterate: the running average is kept as its weighted sum and
-    divided by the total weight where it is read. A :class:`DivergenceError`
-    carries its trial's state.
+    the new iterate, read where it lies. Between the two the step's buffer
+    takes the weighted iterate, which the projection has just written and
+    which is still in cache: the running average is kept as its weighted sum
+    and divided by the total weight where it is read. The statistics only
+    read the buffer, so the order gives the same bytes. A
+    :class:`DivergenceError` carries its trial's state.
     """
     cfg = cfgs[0]
     kernel = _Kernel(ys, cfg.epsilon, p.dim)
@@ -328,11 +330,11 @@ def _solve(ys, p, cfgs, truths):
     for k in range(1, cfg.iterations + 1):
         kernel.gradient(cfg.mu0 / math.sqrt(k), out=ahead, step=True)
         project_columns(p, points, out=columns)
-        objective = kernel.load(top)
         # the sum's weight on iterate k over its total is (P+1)/(k+P), P = AVERAGING_POWER
         weight = float(math.prod(range(k, k + AVERAGING_POWER)))
         weighted += np.multiply(s, weight, out=step)
         total += weight
+        objective = kernel.load(top)
         if not math.isfinite(np.add.reduce(objective)):
             i = np.argmin(np.isfinite(objective))  # the first trial that diverged
             state = SolverState(

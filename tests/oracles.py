@@ -6,6 +6,11 @@ conditional covariances through the joint-matrix inverse, projections
 through active-set enumeration over the polytope's H-representation, the
 simplex threshold through a sort, and alignments and box reflections through
 exhaustive search.
+
+``frozen_signed_l1_ball`` is the other kind of reference: the all-signed
+l1 ball exactly as it was when it signed every entry again, before it took
+``v`` back and signed only the columns it moves. The current ball must give
+its bytes, not just its values.
 """
 
 import itertools
@@ -15,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ldinfomax import ld_mutual_information
-from ldinfomax.polytopes import NONNEG, SIGNED
+from ldinfomax.polytopes import NONNEG, SIGNED, _capped_simplex
 
 
 def two_pass_covariance(x):
@@ -162,6 +167,13 @@ def sort_simplex_threshold(u):
     css = (desc.cumsum(axis=0) - 1.0) / np.arange(1, len(u) + 1)[:, None]
     rho = (desc > css).sum(axis=0) - 1
     return css[rho, np.arange(u.shape[1])]
+
+
+def frozen_signed_l1_ball(v):
+    """Project the columns of ``v`` onto {sum(|x|) <= 1}: the capped simplex
+    of ``|v|``, then every entry signed again."""
+    out = np.abs(v)
+    return np.copysign(_capped_simplex(out), v, out=out)
 
 
 def exhaustive_alignment_mse(s_est, s_true):

@@ -12,7 +12,7 @@ from ldinfomax.polytopes import (
     preset,
     project_columns,
 )
-from oracles import QpProjectionOracle, sort_simplex_threshold
+from oracles import QpProjectionOracle, frozen_signed_l1_ball, sort_simplex_threshold
 
 
 def mixed_sparsity_example():
@@ -515,6 +515,26 @@ def varied_columns(dim, scale, rng):
     return v
 
 
+def kernel_columns(dim, rng, n=2000):
+    """n columns of five kinds, n // 5 each, in shuffled order: normal at
+    scales 0.05-3; multiples of 1/2, 1/4 or 1/8 (ties, and columns on the
+    unit sphere and on its kinks); half their entries +-0.0; rescaled to an
+    l1 norm of 1, 1 +- 1e-15 or 1 + 1e-9; and 1e16 entries, a few columns all
+    of them."""
+    k = n // 5
+    normal = rng.normal(0.0, 1.0, (dim, k)) * rng.choice([0.05, 0.3, 1.0, 3.0], k)
+    grid = rng.integers(-8, 9, (dim, k)) / rng.choice([2.0, 4.0, 8.0], k)
+    zeros = np.where(rng.random((dim, k)) < 0.5, rng.choice([-0.0, 0.0], (dim, k)),
+                     rng.uniform(-0.6, 0.6, (dim, k)))
+    sphere = rng.uniform(-1.0, 1.0, (dim, k))
+    sphere *= (1.0 + rng.choice([-1e-15, 0.0, 1e-15, 1e-9], k)) / np.abs(sphere).sum(axis=0)
+    huge = rng.normal(0.0, 1.0, (dim, k))
+    huge[rng.random((dim, k)) < 0.4] = 1e16
+    huge[:, :10] = 1e16
+    huge[:, 5:15] *= -1.0
+    return np.hstack([normal, grid, zeros, sphere, huge])[:, rng.permutation(5 * k)]
+
+
 class TestOverlapKernel:
     """Projected Newton on the group multipliers against the QP oracle."""
 
@@ -537,7 +557,8 @@ class TestOverlapKernel:
     @pytest.mark.parametrize("name,p", OVERLAPPING + L1_BALLS)
     def test_stack_equals_one_column_projections(self, name, p):
         rng = np.random.default_rng(32)
-        v = np.hstack([varied_columns(p.dim, scale, rng) for scale in (0.5, 2.0, 1e3)])
+        v = np.hstack([varied_columns(p.dim, scale, rng) for scale in (0.5, 2.0, 1e3)]
+                      + [kernel_columns(p.dim, rng, 100)])
         out = project_columns(p, v)
         for j in range(v.shape[1]):
             assert same_bytes(out[:, j], project_columns(p, v[:, j:j + 1])[:, 0])
@@ -636,3 +657,15 @@ class TestProjectionProperties:
         p = preset("l1_nonneg", 2)
         assert max_violation(p, np.array([0.8, 0.8])) == pytest.approx(0.6)
         assert max_violation(p, np.array([0.2, 0.3])) == 0.0
+
+
+class TestSignedBallBytes:
+    """The all-signed l1 ball, which takes ``v`` back and signs only the
+    columns it moves, gives byte for byte what it gave when it signed every
+    entry (``oracles.frozen_signed_l1_ball``)."""
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_matches_signing_every_entry(self, r):
+        v = kernel_columns(r, np.random.default_rng(700 + r))
+        out = project_columns(preset("l1", r), v, out=np.empty_like(v))
+        assert same_bytes(out, frozen_signed_l1_ball(v))

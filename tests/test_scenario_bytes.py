@@ -4,6 +4,14 @@ The digests were computed when rejection sampling evaluated the copula's t
 CDF on every drawn entry; the sampler that skips the CDF on columns it cannot
 keep must keep exactly the same columns. Only public names are used, so the
 test runs unchanged against either sampler.
+
+The digests pin the arithmetic of the numpy and OpenBLAS build they were
+recorded with (numpy 2.4, scipy-openblas 0.3.31), not only the algorithm.
+The copula's Cholesky product ``chol @ g`` reaches BLAS's matrix-matrix
+kernel, whose rounding depends on the build and on the kernel it picks for
+the CPU: the same columns formed one at a time by the matrix-vector kernel
+change 13 of the 19 digests. On another BLAS build a failure here can mean
+a different kernel, not a different scenario.
 """
 
 import hashlib

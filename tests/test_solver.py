@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ldinfomax.solver as solver_mod
-from ldinfomax import stats
+from ldinfomax import evaluation, stats
 from ldinfomax.config import write_trajectory_csv
 from ldinfomax.datagen import ScenarioConfig, make_scenario
 from ldinfomax.evaluation import sinr_db
@@ -535,6 +535,47 @@ class TestWorkspace:
         again = [(state.s.tobytes(), state.estimate.tobytes()) for state in self.solves()]
         assert again == expected
 
+
+class TestTracerHooks:
+    """The solver reaches the projection, the orientation and the SINR
+    through their module attributes, which a benchmark tracer replaces to
+    time each call: a solve of K iterations projects once per trial start
+    and once per iteration, and orients and scores once per trial and
+    record point."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {}
+        for module, name in ((solver_mod, "project_columns"),
+                             (solver_mod, "canonical_orientation"),
+                             (evaluation, "sinr_db")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            calls[name] = 0
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_calls_per_iteration_and_record_point(self, monkeypatch, trials):
+        # record points 0, 4, 8 and the last iteration, 10
+        p = preset("l1", 5)
+        scenarios, cfgs = stack_inputs(p, range(70, 70 + trials), 10)
+        cfgs = [replace(c, record_every=4) for c in cfgs]
+        calls = self.count_calls(monkeypatch)
+        if trials == 1:
+            run(scenarios[0].y, p, cfgs[0], ground_truth=scenarios[0].s_true)
+        else:
+            run([sc.y for sc in scenarios], p, cfgs, ground_truth=[sc.s_true for sc in scenarios])
+        assert calls == {"project_columns": trials + 10,
+                         "canonical_orientation": 4 * trials, "sinr_db": 4 * trials}
+
+    def test_without_ground_truth_orients_once_at_the_end(self, monkeypatch):
+        p = preset("linf_nonneg", 5)
+        scenarios, cfgs = stack_inputs(p, range(2), 10)
+        calls = self.count_calls(monkeypatch)
+        run([sc.y for sc in scenarios], p, cfgs)
+        assert calls == {"project_columns": 2 + 10, "canonical_orientation": 2, "sinr_db": 0}
 
 
 class TestCanonicalOrientation:
