@@ -301,8 +301,16 @@ def _solve(ys, p, cfgs, truths):
     takes the weighted iterate, which the projection has just written and
     which is still in cache: the running average is kept as its weighted sum
     and divided by the total weight where it is read. The statistics only
-    read the buffer, so the order gives the same bytes. A
-    :class:`DivergenceError` carries its trial's state.
+    read the buffer, so the order gives the same bytes.
+
+    The step needs only the shifted pair (R_s, R_e), whose inverse the
+    gradient reads, so the pair is factored for the objective at iteration 0,
+    at the record points and wherever one of its entries is not finite. A
+    non-finite statistic therefore raises at the iteration where it appears:
+    the factor's :class:`numpy.linalg.LinAlgError`, or a
+    :class:`DivergenceError`, which carries its trial's state, when the
+    objective is not finite. A finite pair that is not positive definite,
+    which takes an epsilon near rounding, raises at the next record point.
     """
     cfg = cfgs[0]
     kernel = _Kernel(ys, cfg.epsilon, p.dim)
@@ -334,7 +342,11 @@ def _solve(ys, p, cfgs, truths):
         weight = float(math.prod(range(k, k + AVERAGING_POWER)))
         weighted += np.multiply(s, weight, out=step)
         total += weight
-        objective = kernel.load(top)
+        kernel.statistics(top)
+        recording = k % cfg.record_every == 0 or k == cfg.iterations
+        if not recording and np.isfinite(kernel.pair).all():
+            continue
+        objective = kernel.objective()
         if not math.isfinite(np.add.reduce(objective)):
             i = np.argmin(np.isfinite(objective))  # the first trial that diverged
             state = SolverState(
@@ -342,7 +354,7 @@ def _solve(ys, p, cfgs, truths):
                 estimate=estimate(i), trajectory=states[i].trajectory,
             )
             raise DivergenceError(f"objective became non-finite at iteration {k}", state)
-        if k % cfg.record_every == 0 or k == cfg.iterations:
+        if recording:
             record(k)
     for i, (y, state, final) in enumerate(zip(ys, states, finals)):
         # the last point is recorded at the final estimate: reuse its canonical form

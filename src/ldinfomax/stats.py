@@ -164,10 +164,12 @@ class _Kernel:
     ``m``, the (T, 2, r, r) ``pair`` with its views ``r_s`` and ``r_e``, and
     the gradient's (T, r, r+M+1) map ``c`` with its three column blocks.
 
-    :meth:`load` puts sources into ``z`` and returns the objective of each
-    trial; :meth:`gradient` reads the state the last :meth:`load` left. Every
-    product and factorization runs per trial, so each trial's values are the
-    ones it gives alone.
+    :meth:`statistics` puts sources into ``z`` and leaves their shifted
+    ``pair``, which :meth:`gradient` and :meth:`objective` read; :meth:`load`
+    runs :meth:`statistics` and :meth:`objective` in turn. The solver factors
+    the pair only where it reads the objective, so most of its iterations
+    factor nothing. Every product and factorization runs per trial, so each
+    trial's values are the ones it gives alone.
     """
 
     def __init__(self, ys, epsilon, r):
@@ -222,21 +224,32 @@ class _Kernel:
         np.subtract(self.r_s, self.q @ self.q.mT, out=self.r_e)
         self.r_s -= self.m * self.m.mT
 
-    def load(self, s):
-        """The LD-mutual information of each trial's sources ``s`` and mixtures, a (T,) array.
+    def statistics(self, s):
+        """:meth:`fill` ``pair`` from sources ``s`` and shift it by ``eps*I`` in place.
 
         ``s`` goes into ``z`` as it is: the solver passes ``top``, which holds
-        its iterate, the public measures their centered samples. :meth:`fill`
-        fills ``pair``, which is shifted in place, and one batched Cholesky
-        factors it.
+        its iterate, the public measures their centered samples.
         """
         self.fill(s)
-        shifted = np.add(self.pair, self.shift, out=self.pair)
-        half = _half_logdet(_factor(shifted, self.epsilon, ("R_s", "R_e")))
+        np.add(self.pair, self.shift, out=self.pair)
+
+    def objective(self):
+        """The LD-mutual information of each trial at the last :meth:`statistics`, a (T,) array.
+
+        One batched Cholesky factors the shifted ``pair``; a matrix that is
+        not positive definite raises the :class:`numpy.linalg.LinAlgError` of
+        :func:`_factor`, which names it.
+        """
+        half = _half_logdet(_factor(self.pair, self.epsilon, ("R_s", "R_e")))
         return half[:, 0] - half[:, 1]
 
+    def load(self, s):
+        """:meth:`statistics` of sources ``s``, then their :meth:`objective`, a (T,) array."""
+        self.statistics(s)
+        return self.objective()
+
     def gradient(self, scale, out=None, step=False):
-        """``scale`` times the gradient at the last loaded sources, (T, r, N).
+        """``scale`` times the gradient at the sources of the last :meth:`statistics`, (T, r, N).
 
         The gradient is the r x (r+M+1) map ``C`` applied to ``z``:
         ``C = [A - B | B R_sy L⁻ᵀ | -(A - B) m] / N``, ``A = (R_s+eps I)^{-1}``,

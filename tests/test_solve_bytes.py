@@ -47,6 +47,11 @@ SOLVE_CASES = {
     "l1_nonneg": ([_scenario(polytope=preset("l1_nonneg", 5), seed=3002)], 100, 25),
     "pairs": ([_scenario(polytope=MIXED_PAIRS, seed=3003)], 6, 2),
     "stack-3": ([_scenario(seed=3010 + k) for k in range(3)], 300, 100),
+    # the last iteration is no multiple of record_every, so it is a record
+    # point of its own; these two digests were recorded on the tree that
+    # factored R_s and R_e at every iteration, not only at record points
+    "off-grid": ([_scenario(seed=3004)], 137, 40),
+    "stack-2-off-grid": ([_scenario(seed=3020 + k) for k in range(2)], 57, 25),
 }
 
 # sha256 of the bytes of the raw iterates, the estimates, and the float64
@@ -82,6 +87,16 @@ SOLVE_DIGESTS = {
         "6b822005f1e21e7834fc04fe43209900bcfa37f396730bf99f5cc0fb4eac9932",
         "5974b364dddce4d2f8b793216a2f2064db992b49188052c29c7844646f247bc8",
         "38f42c60e22bcece4a1af3d126b91c2212640a7bece68b522614de7edc2fbba8",
+    ),
+    "off-grid": (
+        "9046e20f3818643d67e86bb4443e8f0e42f8a9cc0808dde72ba979ddec90f2c0",
+        "e670e3092eed68eb62961c919d2551d98a3fb53e3ffac0cbd0991a168586fb84",
+        "a736555a39e52361c9606651ff50694309f43d59aef54ac85b6ec016487b96c4",
+    ),
+    "stack-2-off-grid": (
+        "d07135d2dc2dcd70529b277243e6245129f84f16dc3314312a6215463c2cb700",
+        "8a706252cd107a07ed2e6186e7af76f83a924cc6d6f8bfbd984538494a04b4b9",
+        "5a6523f3a8578b367df079d0da0111b81cad334d71abb68ffc688de6014d9766",
     ),
 }
 

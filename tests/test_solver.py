@@ -326,12 +326,11 @@ class TestRun:
         class PoisonedKernel(solver_mod._Kernel):
             calls = 0
 
-            def load(self, s):
-                objective = super().load(s)
+            def statistics(self, s):
+                super().statistics(s)
                 PoisonedKernel.calls += 1
-                if PoisonedKernel.calls > 2:
-                    objective = np.full_like(objective, np.nan)
-                return objective
+                if PoisonedKernel.calls > 2:  # from iteration 2, no record point
+                    self.r_s[...] = np.nan
 
         monkeypatch.setattr(solver_mod, "_Kernel", PoisonedKernel)
         with pytest.raises(DivergenceError) as info:
@@ -379,25 +378,25 @@ def assert_same_solve(a, b):
 
 
 def poison_kernel(monkeypatch, marker, after, mode):
-    """From load ``after`` + 1 on a kernel, fail the trials whose whitened
-    mixtures equal ``marker``: a Cholesky factor of theirs fails
-    (``"cholesky"``, which fails any stack they are in) or their objective
-    turns NaN (``"divergence"``). Each solve counts on its own kernel, so a
-    trial solved alone fails at the same iteration in or out of a stack."""
+    """From statistics step ``after`` + 1 on a kernel (iteration ``after``),
+    poison the shifted R_s of the trials whose whitened mixtures equal
+    ``marker``: a pivot of -inf fails its Cholesky factor (``"cholesky"``,
+    which fails any stack they are in), NaN entries turn their objective NaN
+    (``"divergence"``). Each solve counts on its own kernel, so a trial solved
+    alone fails at the same iteration in or out of a stack."""
 
     class Poisoned(solver_mod._Kernel):
         calls = 0
 
-        def load(self, s):
+        def statistics(self, s):
+            super().statistics(s)
             self.calls += 1
             r = s.shape[-2]
             hit = np.array([np.array_equal(z[r:], marker) for z in self.z]) & (self.calls > after)
-            if mode == "cholesky" and hit.any():
-                raise np.linalg.LinAlgError(f"R_s + {self.epsilon}*I is not positive definite")
-            objective = super().load(s)
+            if mode == "cholesky":
+                self.r_s[hit, -1, -1] = -np.inf
             if mode == "divergence":
-                objective = np.where(hit, np.nan, objective)
-            return objective
+                self.r_s[hit] = np.nan
 
     monkeypatch.setattr(solver_mod, "_Kernel", Poisoned)
 
@@ -576,6 +575,54 @@ class TestTracerHooks:
         calls = self.count_calls(monkeypatch)
         run([sc.y for sc in scenarios], p, cfgs)
         assert calls == {"project_columns": 2 + 10, "canonical_orientation": 2, "sinr_db": 0}
+
+
+class TestFactorAtRecordPoints:
+    """A step reads only the shifted pair (R_s, R_e); the solver factors it for
+    the objective at the start and at each record point."""
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_factors_once_per_record_point(self, monkeypatch, trials):
+        # record points 0, 10, 20, 30 and the last iteration, 37
+        p = preset("linf_nonneg", 5)
+        scenarios, cfgs = stack_inputs(p, range(80, 80 + trials), 37)
+        factored = []
+
+        def counted(shifted, epsilon, names, _fn=stats._factor):
+            factored.append(names)
+            return _fn(shifted, epsilon, names)
+
+        monkeypatch.setattr(stats, "_factor", counted)
+        if trials == 1:
+            run(scenarios[0].y, p, cfgs[0])
+        else:
+            run([sc.y for sc in scenarios], p, cfgs)
+        # the kernel's set-up factors each trial's R_y; each stack's pair is one call
+        assert factored == ["R_y"] * trials + [("R_s", "R_e")] * 5
+
+    def test_finite_indefinite_pair_raises_at_the_next_record_point(self, monkeypatch):
+        # a shifted pair that is finite but not positive definite (which takes an
+        # epsilon near rounding) passes the finiteness check, so it is factored,
+        # and raises, at the next record point: iteration 20, not 12
+        p = preset("linf_nonneg", 5)
+        scenarios, cfgs = stack_inputs(p, [90], 25)
+
+        class Indefinite(solver_mod._Kernel):
+            calls = 0
+
+            def statistics(self, s):
+                super().statistics(s)
+                Indefinite.calls += 1
+                if Indefinite.calls > 12:  # from iteration 12 on
+                    np.negative(self.r_e, out=self.r_e)
+
+        monkeypatch.setattr(solver_mod, "_Kernel", Indefinite)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            run(scenarios[0].y, p, cfgs[0])
+        assert str(info.value) == (
+            "R_e + 1e-05*I is not positive definite: Matrix is not positive definite"
+        )
+        assert Indefinite.calls == 21  # iterations 0 to 20
 
 
 class TestCanonicalOrientation:
