@@ -21,7 +21,7 @@ from . import evaluation
 from .datagen import _map_box
 from .ica import _whiten
 from .polytopes import NONNEG, project_columns
-from .stats import _center, _cross, _Kernel, _measure_inputs
+from .stats import _aligned_empty, _center, _cross, _Kernel, _measure_inputs
 
 __all__ = [
     "DivergenceError",
@@ -301,7 +301,8 @@ def _solve(ys, p, cfgs, truths):
     takes the weighted iterate, which the projection has just written and
     which is still in cache: the running average is kept as its weighted sum
     and divided by the total weight where it is read. The statistics only
-    read the buffer, so the order gives the same bytes.
+    read the buffer, so the order gives the same bytes. The step's buffer and
+    the weighted sum start on a 64-byte line, as the kernel's buffer does.
 
     The step needs only the shifted pair (R_s, R_e), whose inverse the
     gradient reads, so the pair is factored for the objective at iteration 0,
@@ -317,7 +318,8 @@ def _solve(ys, p, cfgs, truths):
     s, top = kernel.s, kernel.top
     for i, (y, c) in enumerate(zip(ys, cfgs)):
         top[i] = initialize(y, p, c)
-    step, weighted, total = np.empty_like(s), np.zeros_like(s), 0.0
+    step, weighted, total = _aligned_empty(s.shape), _aligned_empty(s.shape), 0.0
+    weighted.fill(0.0)
     # views of the step's buffer as the gradient and the projection take it,
     # and of the source rows as the projection writes them
     ahead, points, columns = step.swapaxes(0, 1), step.reshape(p.dim, -1), s.reshape(p.dim, -1)

@@ -17,6 +17,11 @@ spread, which the polytope bounds for the iterate, so the solver's
 objective agrees with :func:`ld_mutual_information` to rounding. The
 kernel's two products over the samples run on column blocks of that
 buffer sized by :data:`CACHE_BYTES`, so a large N streams through the cache.
+That buffer, the solver's step and weighted-sum buffers and the gradient's
+output start on a 64-byte cache line (:func:`_aligned_empty`): glibc returns
+numpy's large arrays 16 bytes past a line from mmap, or at any multiple of
+16 bytes from its heap, and off a line every load of the products
+straddles two lines.
 """
 
 import itertools
@@ -70,6 +75,17 @@ def _solve_bytes(r, m, n):
     return (3 * r + m + 1) * n * 8
 
 
+def _aligned_empty(shape):
+    """An uninitialized float64 array of ``shape`` whose data starts on a 64-byte line.
+
+    It is a C-contiguous slice of an array one line (8 float64) longer.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = -raw.__array_interface__["data"][0] % 64 // 8
+    return raw[start:start + size].reshape(shape)
+
+
 def _symmetrize(a, out=None):
     """``0.5 * (a + aᵀ)`` of each matrix of ``a``, written into ``out`` when given."""
     out = np.add(a, a.mT, out=out)
@@ -81,6 +97,8 @@ def _check_symmetric(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():  # NaN would pass the symmetry test below
+        raise ValueError(f"{name} has non-finite entries")
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.T).max() > _SYMMETRY_RTOL * scale:
         raise ValueError(f"{name} is not symmetric within tolerance")
@@ -157,7 +175,10 @@ class _Kernel:
     as (T, r, N). ``blocks`` cuts the N columns into the fewest equal slices
     whose (r+M+1)-row block of one trial fits :data:`CACHE_BYTES`, and
     ``parts`` holds per block its slice and its columns of ``top`` and of
-    ``z``. The workspace is built once too, so that an iteration slices and
+    ``z``. The buffer starts on a 64-byte line, which numpy's allocation
+    does not promise, so that the products' loads do not straddle cache
+    lines; when N is a multiple of 8 every row and block starts on a line
+    too. The workspace is built once too, so that an iteration slices and
     allocates no buffer over the samples: ``eye = I``, ``shift = eps*I``, the
     (T, r, r+M+1) ``gram`` of the statistics product with its views
     ``S Sᵀ/N``, ``Q = [R_sy L⁻ᵀ | m]``, ``r_sw = R_sy L⁻ᵀ`` and the means
@@ -176,7 +197,7 @@ class _Kernel:
         ys = [_as_samples(y, "mixtures") for y in ys]
         (m, self.n), trials = ys[0].shape, len(ys)
         self.epsilon = float(epsilon)
-        buffer = np.empty((r + m + 1, trials, self.n))
+        buffer = _aligned_empty((r + m + 1, trials, self.n))
         self.s = buffer[:r]
         self.z = buffer.swapaxes(0, 1)
         for z, y in zip(self.z, ys):
@@ -273,7 +294,7 @@ class _Kernel:
         else:
             np.negative(b_a, out=b_a)
         if out is None:
-            out = np.empty((*c.shape[:-1], self.n))
+            out = _aligned_empty((*c.shape[:-1], self.n))
         for cols, _, z in self.parts:
             np.matmul(c, z, out=out[..., cols])
         return out

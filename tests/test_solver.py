@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -23,6 +24,7 @@ from ldinfomax.solver import (
 )
 from ldinfomax.stats import conditional_error_covariance, ld_mutual_information
 from oracles import exhaustive_orientation, finite_difference_gradient, two_solve_gradient
+from test_solve_bytes import SOLVE_DIGESTS, solve_digests
 
 
 def small_scenario(seed=0, n=300, noiseless=True):
@@ -623,6 +625,67 @@ class TestFactorAtRecordPoints:
             "R_e + 1e-05*I is not positive definite: Matrix is not positive definite"
         )
         assert Indefinite.calls == 21  # iterations 0 to 20
+
+
+class TestAlignedBuffers:
+    """The kernel's buffer and the solver's step and weighted-sum buffers start
+    on a 64-byte line, which numpy's allocation does not promise. Both
+    products over the samples read these buffers; alignment changes their
+    speed and none of their bytes."""
+
+    @staticmethod
+    def record_starts(monkeypatch):
+        """At each projection of the loop, record where the kernel's source rows
+        (``out``), the step's buffer (``points``) and the weighted sum start, mod 64."""
+        starts = []
+
+        def recorded(p, points, out=None, _fn=solver_mod.project_columns):
+            if out is not None:  # the starts are projected without ``out``
+                weighted = sys._getframe(1).f_locals["weighted"]  # _solve's local
+                starts.append(
+                    (out.ctypes.data % 64, points.ctypes.data % 64, weighted.ctypes.data % 64)
+                )
+            return _fn(p, points, out=out)
+
+        monkeypatch.setattr(solver_mod, "project_columns", recorded)
+        return starts
+
+    @pytest.mark.parametrize(("r", "m", "n", "trials"), [
+        (5, 8, 2000, 1), (5, 8, 2000, 3), (12, 16, 2000, 1), (5, 8, 1999, 1),
+    ], ids=["r5", "stack-3", "r12-m16", "n1999"])
+    def test_buffers_start_on_a_line(self, monkeypatch, r, m, n, trials):
+        p = preset("linf_nonneg", r)
+        scenarios = [
+            make_scenario(ScenarioConfig(r=r, m=m, n=n, rho=0.5, snr_db=30.0, polytope=p,
+                                         seed=seed, source_mode="uniform_iid"))
+            for seed in range(110, 110 + trials)
+        ]
+        cfgs = [SolverConfig(iterations=5, seed=seed) for seed in range(110, 110 + trials)]
+        starts = self.record_starts(monkeypatch)
+        if trials == 1:
+            run(scenarios[0].y, p, cfgs[0])
+        else:
+            run([sc.y for sc in scenarios], p, cfgs)
+        assert starts == [(0, 0, 0)] * 5
+
+    @pytest.mark.parametrize("case", ["linf_nonneg-r12", "stack-3"])
+    def test_offsets_change_no_byte(self, monkeypatch, case):
+        # a BLAS build whose rounding depends on alignment fails here
+        aligned = solve_digests(case)
+        assert aligned == SOLVE_DIGESTS[case]
+        real = stats._aligned_empty
+
+        def shifted(shape):  # ``offset`` bytes past a line, as the loop below sets it
+            size = math.prod(shape)
+            return real((size + 8,))[offset // 8:][:size].reshape(shape)
+
+        monkeypatch.setattr(stats, "_aligned_empty", shifted)
+        monkeypatch.setattr(solver_mod, "_aligned_empty", shifted)
+        starts = self.record_starts(monkeypatch)
+        for offset in (8, 16, 32, 48):
+            starts.clear()
+            assert solve_digests(case) == aligned
+            assert starts and set(starts) == {(offset,) * 3}
 
 
 class TestCanonicalOrientation:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import hadamard
@@ -8,6 +11,7 @@ from ldinfomax.polytopes import preset
 from ldinfomax.solver import gradient
 from ldinfomax.stats import (
     _LOG_2PI_E,
+    _aligned_empty,
     _center,
     _cross,
     _Kernel,
@@ -108,6 +112,18 @@ class TestLdEntropy:
             ld_entropy(np.array([[1.0, 0.5], [0.0, 1.0]]), 1e-5)
         with pytest.raises(ValueError, match="square"):
             ld_entropy(np.float64(1.0), 1e-5)
+
+    @pytest.mark.parametrize("measure", [logdet_regularized, ld_entropy])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, measure, entry):
+        # NaN passes a symmetry test by comparison, and inf - inf warns first:
+        # each is named before any arithmetic
+        for cov in (np.full((2, 2), entry), np.diag([entry, 1.0]), np.eye(3)):
+            cov[-1, 0] = cov[0, -1] = entry
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="cov has non-finite entries"):
+                    measure(cov, 1e-5)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(6)
@@ -308,3 +324,38 @@ class TestColumnBlocks:
         out = np.empty((1, *s.shape))
         assert blocked.gradient(0.5, out=out, step=True) is out
         assert close(out, one.gradient(0.5, step=True))
+
+    @pytest.mark.parametrize(("r", "m", "n", "sizes"), [
+        (5, 8, 2000, [2000]),
+        (12, 16, 2000, [2000]),
+        (5, 8, 20000, [10000, 10000]),
+    ])
+    def test_blocks_start_on_cache_lines(self, r, m, n, sizes):
+        # the buffer starts on a 64-byte line; each row of each block starts on
+        # one too only because N and the block sizes are multiples of 8 columns
+        rng = np.random.default_rng(n + r)
+        kernel = _Kernel([rng.standard_normal((m, n)) for _ in range(2)], 1e-5, r)
+        assert [b.stop - b.start for b in kernel.blocks] == sizes
+        for _, _, z in kernel.parts:
+            assert {row.ctypes.data % 64 for trial in z for row in trial} == {0}
+
+
+class TestAlignedBuffers:
+    """The helper's arrays, the kernel's buffer and the gradient's own output
+    start on a 64-byte line."""
+
+    @pytest.mark.parametrize("shape", [(14, 3, 2000), (5, 1999), (7,)])
+    def test_aligned_empty(self, shape):
+        for _ in range(5):  # small arrays come from numpy's cache at varying lines
+            a = _aligned_empty(shape)
+            assert a.shape == shape and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+            assert a.ctypes.data % 64 == 0
+            assert a.base.size == math.prod(shape) + 8
+
+    def test_kernel_buffer_and_gradient(self):
+        s, y = TestColumnBlocks.inputs()
+        kernel = _Kernel([y], 1e-5, 3)
+        assert kernel.s.ctypes.data % 64 == 0  # the buffer's first row
+        kernel.load(s)
+        assert kernel.gradient(1.0).ctypes.data % 64 == 0
