@@ -208,8 +208,7 @@ def affine_match_to_reference(s_est, s_ref):
     """
     s_est = np.asarray(s_est, dtype=float)
     s_ref = np.asarray(s_ref, dtype=float)
-    ec = s_est - s_est.mean(axis=1, keepdims=True)
-    tc = s_ref - s_ref.mean(axis=1, keepdims=True)
+    ec, tc = _center(s_est), _center(s_ref)
     inner = ec @ tc.T
     e_sq = np.maximum(np.sum(ec * ec, axis=1), np.finfo(float).tiny)
     t_sq = np.maximum(np.sum(tc * tc, axis=1), np.finfo(float).tiny)

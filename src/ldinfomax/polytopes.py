@@ -7,15 +7,16 @@ box, their nonnegative restrictions, and mixed-sparsity constructions with
 overlapping groups.
 
 The domain tags become bounds only through ``PolytopeSpec.lower`` and
-``upper``. When the groups are pairwise disjoint the projection is exact in
-closed form: a box clamp, then per group a capped-simplex projection of the
-magnitudes with the signs put back, whose threshold is Michelot's fixed
-point (1986). Overlapping groups are projected exactly by projected Newton
-on the group multipliers (Bertsekas 1982), column by column: each column
-leaves the working set once its multipliers are optimal to a tolerance
-relative to its size, so its result does not depend on the other columns,
-and a column still unsettled after ``_NEWTON_MAX_STEPS`` steps raises
-``RuntimeError``. A single point is projected as a (dim, 1) column.
+``upper``. When the groups are pairwise disjoint (boxes and balls included)
+the projection is exact in closed form: a box clamp, then each group by one
+in-place kernel, a capped-simplex projection of the magnitudes with the
+signs put back, whose threshold is Michelot's fixed point (1986).
+Overlapping groups are projected exactly by projected Newton on the group
+multipliers (Bertsekas 1982), column by column: each column leaves the
+working set once its multipliers are optimal to a tolerance relative to its
+size, so its result does not depend on the other columns, and a column
+still unsettled after ``_NEWTON_MAX_STEPS`` steps raises ``RuntimeError``.
+A single point is projected as a (dim, 1) column.
 """
 
 from dataclasses import dataclass, fields
@@ -114,19 +115,25 @@ class PolytopeSpec:
         return self.lower[:, None], self.upper[:, None]
 
     @cached_property
-    def _route(self):
-        """How :func:`project_columns` projects, with the groups as index lists
-        and a mask of each group's signed coordinates: ``"ball"`` for one group
-        over every coordinate, ``"disjoint"`` for pairwise-disjoint groups
-        (none at all included) and ``"overlap"`` for projected Newton on the
-        group multipliers."""
+    def _disjoint(self):
+        """How :func:`project_columns` projects pairwise-disjoint groups (none
+        at all included), or None when groups overlap: whether some
+        coordinate lies in no group, so the box needs clamping, and per group
+        its rows (a slice when they count up by one), then its signed and its
+        unsigned runs of rows, as slices in the group's own order."""
         groups = [list(g) for g in self.l1_groups]
-        signed = [_read_only(self.lower[g] < 0) for g in groups]
-        if len(set().union(*groups)) < sum(map(len, groups)):
-            return "overlap", groups, signed
-        if groups == [list(range(self.dim))]:
-            return "ball", groups, signed
-        return "disjoint", groups, signed
+        grouped = set().union(*groups)
+        if len(grouped) < sum(map(len, groups)):
+            return None
+        blocks = []
+        for g in groups:
+            signed = [bool(self.lower[i] < 0.0) for i in g]
+            edges = [0, *(k for k in range(1, len(g)) if signed[k] != signed[k - 1]), len(g)]
+            runs = [slice(a, b) for a, b in zip(edges, edges[1:])]
+            rows = slice(g[0], g[-1] + 1) if g == list(range(g[0], g[-1] + 1)) else g
+            blocks.append((rows, [r for r in runs if signed[r.start]],
+                           [r for r in runs if not signed[r.start]]))
+        return len(grouped) < self.dim, blocks
 
     @cached_property
     def _multiplier_tables(self):
@@ -196,8 +203,10 @@ def max_violation(p, v):
 def _column_violations(p, v):
     """Largest constraint violation of each column of ``v``, floored at 0."""
     worst = np.maximum(p.lower[:, None] - v, v - p.upper[:, None]).max(axis=0, initial=0.0)
-    for g in p.l1_groups:
-        np.maximum(worst, np.abs(v[list(g)]).sum(axis=0) - 1.0, out=worst)
+    if p.l1_groups:
+        magnitudes = np.abs(v)
+        for g in p.l1_groups:
+            np.maximum(worst, _column_sums(magnitudes, rows=g) - 1.0, out=worst)
     return worst
 
 
@@ -211,29 +220,17 @@ def _clamp(p, v, out=None):
     return np.clip(v, *p._clip_bounds, out=out)
 
 
-def _capped_simplex(u):
-    """Project every column of ``u`` onto {x >= 0, sum(x) <= 1}, in place.
-
-    ``u`` must be nonnegative, so a column summing to at most 1 is already
-    feasible; any other lands on the simplex face as ``max(u - theta, 0)``.
-    Overwrites and returns ``u``, which saves a pass over the samples.
-    """
-    over, moved = _over_budget(u)
-    if over.size:
-        u[:, over] = moved
-    return u
-
-
 def _over_budget(u):
-    """The columns of nonnegative ``u`` summing to more than 1, and their
-    projections ``max(u - theta, 0)`` onto the simplex face (None when there
-    are none)."""
+    """The columns of nonnegative ``u`` summing to more than 1, their
+    projections ``max(u - theta, 0)`` onto the simplex face and their
+    thresholds theta (the last two None when there are none)."""
     over = (_column_sums(u) > 1.0).nonzero()[0]
     if not over.size:
-        return over, None
+        return over, None, None
     uo = u.take(over, axis=1)
-    uo -= _simplex_threshold(uo)
-    return over, np.maximum(uo, 0.0, out=uo)
+    theta = _simplex_threshold(uo)
+    uo -= theta
+    return over, np.maximum(uo, 0.0, out=uo), theta
 
 
 def _simplex_threshold(u):
@@ -268,31 +265,32 @@ def _simplex_threshold(u):
     return theta
 
 
-def _l1_ball(v, signed, out=None):
-    """Project every column of ``v`` onto {sum(|x|) <= 1, x[~signed] >= 0}, into ``out``.
+def _l1_ball(v, signed, unsigned, out=None):
+    """Project every column of ``v`` onto the unit l1 ball of one group, into ``out``.
 
-    A signed coordinate keeps its sign and shrinks in magnitude, so this is
-    the capped-simplex projection of ``|v|`` on signed rows and of
-    ``max(v, 0)`` on the others, with the signs put back. Inside a unit l1
-    ball the box constraints hold, so they need no separate step. The
-    magnitudes are formed, thresholded and signed in ``out`` itself. When
-    every row is signed, ``out`` takes ``v`` back after the magnitudes are
-    summed, which is ``copysign(|v|, v)`` bit for bit, and only the columns
-    over the budget are written again, thresholded and signed.
+    ``signed`` and ``unsigned`` are the slices of rows of each tag; an
+    unsigned coordinate also stays nonnegative. A signed coordinate keeps its
+    sign and shrinks in magnitude, so this is the capped-simplex projection
+    of ``|v|`` on signed rows and of ``max(v, 0)`` on the others, with the
+    signs put back. Inside a unit l1 ball the box constraints hold, so they
+    need no separate step. The magnitudes are formed in ``out`` and summed;
+    then the signed runs take ``v`` back, which is ``copysign(|v|, v)`` bit
+    for bit, and only the columns over the budget are written again,
+    thresholded and, on signed runs, signed.
     """
     if out is None:
         out = np.empty_like(v)
-    if not signed.any():
-        return _capped_simplex(np.maximum(v, 0.0, out=out))
-    if signed.all():
-        over, moved = _over_budget(np.abs(v, out=out))
-        np.copyto(out, v)
-        if over.size:
-            out[:, over] = np.copysign(moved, v.take(over, axis=1), out=moved)
-        return out
-    np.copyto(out, np.where(signed[:, None], np.abs(v), np.maximum(v, 0.0)))
-    _capped_simplex(out)
-    out[signed] = np.copysign(out[signed], v[signed])
+    for rows in unsigned:
+        np.maximum(v[rows], 0.0, out=out[rows])
+    for rows in signed:
+        np.abs(v[rows], out=out[rows])
+    over, moved, _ = _over_budget(out)
+    for rows in signed:
+        np.copyto(out[rows], v[rows])
+    if over.size:
+        for rows in signed:
+            np.copysign(moved[rows], v[rows].take(over, axis=1), out=moved[rows])
+        out[:, over] = moved
     return out
 
 
@@ -406,9 +404,10 @@ def _newton_direction(hess, grad, lam, residual, scale, stalled):
         bound |= joins
 
 
-def _newton_columns(p, v):
+def _newton_columns(p, v, out):
     """Project every column of ``v`` onto the box and the overlapping groups
-    by projected Newton on the group multipliers (Bertsekas 1982).
+    by projected Newton on the group multipliers (Bertsekas 1982), into
+    ``out``, and return it.
 
     With ``a = |v|`` on signed rows and ``max(v, 0)`` on nonnegative ones,
     the magnitudes are ``x = clip(a - A' lam, 0, 1)`` for the multipliers
@@ -435,13 +434,11 @@ def _newton_columns(p, v):
     signed = p.lower < 0.0
     a = np.where(signed[:, None], np.abs(v), np.maximum(v, 0.0))
     lam = np.zeros((n_groups, v.shape[1]))
-    for g, group in enumerate(p._route[1]):
-        ag = a[group]
-        over = (_column_sums(ag) > 1.0).nonzero()[0]
+    for g, group in enumerate(p.l1_groups):
+        over, _, theta = _over_budget(a.take(group, axis=0))
         if over.size:
-            lam[g, over] = _simplex_threshold(ag[:, over]) / share
+            lam[g, over] = theta / share
     scale = np.maximum(a.max(axis=0, initial=0.0), 1.0)
-    out = np.empty_like(v)
     active = np.arange(v.shape[1])
     stalled = np.zeros(v.shape[1], dtype=bool)
     point = _dual_point(a, lam, holders, coords)
@@ -507,12 +504,14 @@ def _newton_columns(p, v):
 def project_columns(p, s, out=None):
     """Project every column of ``s`` onto the polytope independently.
 
-    Pairwise-disjoint groups (none at all included) separate, so the box
-    clamp and one closed form per group are exact; a group over every
-    coordinate leaves nothing to clamp. Overlapping groups go through
-    projected Newton on the group multipliers, which raises
-    ``RuntimeError`` when a column is not settled after
-    ``_NEWTON_MAX_STEPS`` steps.
+    Two routes. Pairwise-disjoint groups (none at all included) separate:
+    the box clamp when some coordinate lies in no group (over every row:
+    numpy's clip picks its loop, and so the sign of a zero clamped from
+    -0.0, by shape), then one closed form per group, on ``out``'s rows in
+    place when they are contiguous and through a gathered copy otherwise.
+    Overlapping groups go through projected Newton on the group
+    multipliers, which raises ``RuntimeError`` when a column is not settled
+    after ``_NEWTON_MAX_STEPS`` steps.
 
     The result is written into ``out`` when given, a float array of the
     shape of ``s`` that shares no memory with it, and returned; every route
@@ -527,13 +526,14 @@ def project_columns(p, s, out=None):
         raise ValueError(f"out must be a float array of shape {s.shape}")
     elif np.may_share_memory(out, s):
         raise ValueError("out must not share memory with the columns it projects")
-    route, groups, signed = p._route
-    if route == "ball":
-        return _l1_ball(s, signed[0], out)
-    if route == "disjoint":
+    if p._disjoint is None:
+        return _newton_columns(p, s, out)
+    clamp, groups = p._disjoint
+    if clamp:
         _clamp(p, s, out)
-        for g, signed_g in zip(groups, signed):
-            out[g] = _l1_ball(s[g], signed_g)
-        return out
-    np.copyto(out, _newton_columns(p, s))
+    for rows, *runs in groups:
+        if isinstance(rows, slice):
+            _l1_ball(s[rows], *runs, out[rows])
+        else:
+            out[rows] = _l1_ball(s[rows], *runs)
     return out

@@ -3,24 +3,27 @@
 Everything here deliberately avoids the code paths it checks: covariances
 are accumulated in two passes, log-determinants go through eigenvalues,
 conditional covariances through the joint-matrix inverse, projections
-through active-set enumeration over the polytope's H-representation, the
-simplex threshold through a sort, and alignments and box reflections through
-exhaustive search.
+through active-set enumeration over the polytope's H-representation (or,
+exactly, through the KKT patterns of the magnitude problem in rational
+arithmetic), the simplex threshold through a sort, and alignments and box
+reflections through exhaustive search.
 
 ``frozen_signed_l1_ball`` is the other kind of reference: the all-signed
 l1 ball exactly as it was when it signed every entry again, before it took
-``v`` back and signed only the columns it moves. The current ball must give
-its bytes, not just its values.
+``v`` back and signed only the columns it moves, spelled out here on top of
+the library's simplex threshold alone. The current ball must give its
+bytes, not just its values.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ldinfomax import ld_mutual_information
-from ldinfomax.polytopes import NONNEG, SIGNED, _capped_simplex
+from ldinfomax.polytopes import NONNEG, SIGNED, _simplex_threshold
 
 
 def two_pass_covariance(x):
@@ -154,6 +157,120 @@ class QpProjectionOracle:
         return best
 
 
+def _fraction_inverse(m):
+    """Inverse of the square Fraction matrix ``m`` by Gauss-Jordan, or None when singular."""
+    k = len(m)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(k)] for i, r in enumerate(m)]
+    for c in range(k):
+        pivot = next((i for i in range(c, k) if rows[i][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(k):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [r[k:] for r in rows]
+
+
+class KktProjectionOracle:
+    """Exact Euclidean projection by enumerating KKT patterns, for dim <= 6.
+
+    With ``a = |v|`` on signed coordinates and ``max(v, 0)`` on nonnegative
+    ones, the projection is ``sign(v) * y`` for the one ``y`` that minimizes
+    ``|y - a|^2 / 2`` over ``0 <= y <= 1`` and ``A y <= 1``, ``A`` the
+    group incidence matrix. Its KKT conditions: ``y = clip(a - A' lam, 0, 1)``
+    with ``lam >= 0``, zero on every group under its budget. A pattern
+    names each coordinate free, at 0 or at 1 and each group active or not;
+    on the free coordinates ``y = a - A' lam``, and the active groups'
+    budgets ``A_S y = 1`` give ``lam_S`` from a system whose matrix counts
+    the free coordinates two active groups share. Some optimal ``lam`` is a
+    vertex of the set of optimal multipliers, and its pattern (coordinates
+    on a kink counted free) has a nonsingular system, so only those
+    patterns are kept. Every pattern is screened in floating point; those
+    within 1e-9 of meeting the conditions are checked, closest first, in
+    ``Fraction`` arithmetic, and the first that meets every condition
+    exactly gives the projection exactly (the minimizer is unique), rounded
+    once to float.
+    """
+
+    def __init__(self, p):
+        if p.dim > 6:
+            raise ValueError("the KKT oracle enumerates 3^dim patterns; dim must be at most 6")
+        self.signed = np.array([t == SIGNED for t in p.domains])
+        self.groups = [list(g) for g in p.l1_groups]
+        n_groups = len(self.groups)
+        self.incidence = np.zeros((n_groups, p.dim))
+        for g, members in enumerate(self.groups):
+            self.incidence[g, members] = 1.0
+        # a pattern: active groups, free coordinates, coordinates at 1, and
+        # the exact inverse of its system over the active groups
+        self.patterns, inverses = [], {}
+        for active in itertools.product((False, True), repeat=n_groups):
+            act = [g for g in range(n_groups) if active[g]]
+            for states in itertools.product(("free", "zero", "one"), repeat=p.dim):
+                free = tuple(st == "free" for st in states)
+                if (active, free) not in inverses:
+                    shared = self.incidence[act] * free @ self.incidence[act].T
+                    inverses[active, free] = _fraction_inverse(
+                        [[Fraction(int(x)) for x in row] for row in shared])
+                if inverses[active, free] is not None:
+                    one = tuple(st == "one" for st in states)
+                    self.patterns.append((active, free, one, act, inverses[active, free]))
+        n = len(self.patterns)
+        self.active, self.free, self.one = (
+            np.array([pt[k] for pt in self.patterns], dtype=bool).reshape(n, -1) for k in range(3)
+        )
+        self.inv = np.zeros((n, n_groups, n_groups))
+        for k, (_, _, _, act, inv) in enumerate(self.patterns):
+            self.inv[k][np.ix_(act, act)] = np.array(inv, dtype=float).reshape(len(act), len(act))
+
+    def _violations(self, a):
+        """Each pattern's largest KKT violation at ``a``, in floating point."""
+        b = self.active * ((self.free * a + self.one) @ self.incidence.T - 1.0)
+        lam = np.einsum("kgh,kh->kg", self.inv, b)
+        r = a - lam @ self.incidence
+        y = np.where(self.free, r, self.one.astype(float))
+        over = (y @ self.incidence.T - 1.0) * ~self.active
+        bound = np.where(self.free, np.maximum(-r, r - 1.0), np.where(self.one, 1.0 - r, r))
+        return np.maximum(np.maximum(-lam, over).max(axis=1, initial=0.0), bound.max(axis=1))
+
+    def _exact(self, a, pattern):
+        """``y`` of ``pattern`` at the Fractions ``a`` when it meets every KKT
+        condition exactly, else None."""
+        active, free, one, act, inv = pattern
+        b = [sum(a[i] if free[i] else int(one[i]) for i in self.groups[g]) - 1 for g in act]
+        lam = [Fraction(0)] * len(self.groups)
+        for row, g in zip(inv, act):
+            lam[g] = sum(x * y for x, y in zip(row, b))
+        r = [a[i] - sum(lam[g] for g in range(len(lam)) if i in self.groups[g])
+             for i in range(len(a))]
+        y = [r[i] if free[i] else Fraction(int(one[i])) for i in range(len(a))]
+        holds = (
+            all(x >= 0 for x in lam)
+            and all(0 <= r[i] <= 1 if free[i] else (r[i] >= 1 if one[i] else r[i] <= 0)
+                    for i in range(len(a)))
+            and all(sum(y[i] for i in members) <= 1
+                    for members, on in zip(self.groups, active) if not on)
+        )
+        return y if holds else None
+
+    def project(self, v):
+        v = np.asarray(v, dtype=float)
+        a = np.where(self.signed, np.abs(v), np.maximum(v, 0.0))
+        exact = [Fraction(x) for x in a]
+        violations = self._violations(a)
+        for k in np.argsort(violations, kind="stable"):
+            if violations[k] > 1e-9 * max(1.0, a.max(initial=0.0)):
+                break
+            y = self._exact(exact, self.patterns[k])
+            if y is not None:
+                return np.array([-float(yk) if s and x < 0 else float(yk)
+                                 for yk, s, x in zip(y, self.signed, v)])
+        raise RuntimeError("no KKT pattern holds exactly")
+
+
 def sort_simplex_threshold(u):
     """Per-column theta with ``sum(max(u - theta, 0)) == 1``, by sorting (Duchi
     et al., ICML 2008).
@@ -171,9 +288,16 @@ def sort_simplex_threshold(u):
 
 def frozen_signed_l1_ball(v):
     """Project the columns of ``v`` onto {sum(|x|) <= 1}: the capped simplex
-    of ``|v|``, then every entry signed again."""
+    of ``|v|``, then every entry signed again. A column of ``|v|`` whose rows,
+    added in order, sum to more than 1 goes to ``max(|v| - theta, 0)``."""
     out = np.abs(v)
-    return np.copysign(_capped_simplex(out), v, out=out)
+    total = out[0].copy()
+    for row in out[1:]:
+        total += row
+    over = (total > 1.0).nonzero()[0]
+    uo = out[:, over]
+    out[:, over] = np.maximum(uo - _simplex_threshold(uo), 0.0)
+    return np.copysign(out, v, out=out)
 
 
 def exhaustive_alignment_mse(s_est, s_true):

@@ -30,7 +30,12 @@ from ldinfomax.cli import main
 from ldinfomax.config import ExperimentConfig, save_experiment
 from ldinfomax.polytopes import PolytopeSpec, contains, project_columns
 from ldinfomax.stats import logdet_regularized
-from oracles import QpProjectionOracle, exhaustive_alignment_mse, finite_difference_gradient
+from oracles import (
+    KktProjectionOracle,
+    QpProjectionOracle,
+    exhaustive_alignment_mse,
+    finite_difference_gradient,
+)
 
 MASTER_SEED = 3000
 
@@ -103,7 +108,8 @@ def test_criterion_2_information_identities():
 
 
 def test_criterion_3_projection_exactness():
-    """Projections match the active-set QP oracle on all five presets."""
+    """Projections match the active-set QP oracle on all five presets, the
+    overlapping pairs through the exact KKT oracle."""
     t0 = time.time()
     presets = [
         ("l1", preset("l1", 4)),
@@ -114,8 +120,8 @@ def test_criterion_3_projection_exactness():
     ]
     rng = np.random.default_rng(MASTER_SEED + 2)
     worst_gap = worst_idem = worst_exp = 0.0
-    for _, p in presets:
-        oracle = QpProjectionOracle(p)
+    for name, p in presets:
+        oracle = KktProjectionOracle(p) if name == "mixed_pairs" else QpProjectionOracle(p)
         for _ in range(50):
             v = rng.uniform(-2.0, 2.0, p.dim)
             got = project_columns(p, v[:, None])[:, 0]

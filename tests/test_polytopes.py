@@ -1,3 +1,4 @@
+import functools
 import pickle
 import warnings
 
@@ -12,7 +13,15 @@ from ldinfomax.polytopes import (
     preset,
     project_columns,
 )
-from oracles import QpProjectionOracle, frozen_signed_l1_ball, sort_simplex_threshold
+from oracles import (
+    KktProjectionOracle,
+    QpProjectionOracle,
+    frozen_signed_l1_ball,
+    sort_simplex_threshold,
+)
+
+# the exact oracle enumerates its patterns once per polytope
+exact_oracle = functools.lru_cache(KktProjectionOracle)
 
 
 def mixed_sparsity_example():
@@ -268,7 +277,7 @@ class TestSimplexThreshold:
         assert np.all(np.abs(theta - sort_simplex_threshold(u)) <= 4 * ulp)
         x = np.maximum(u - theta, 0.0)
         assert np.all(np.abs(x.sum(axis=0) - 1.0) <= 4 * ulp)
-        assert contains(preset("l1_nonneg", r), polytopes._capped_simplex(u.copy()))
+        assert contains(preset("l1_nonneg", r), project_columns(preset("l1_nonneg", r), u))
         # at most r passes, and the slow column takes every one of them
         assert counting.passes == r
 
@@ -359,7 +368,8 @@ class TestProjectColumns:
 
 # every route of project_columns: box with one tag (scalar bounds) and with
 # mixed tags (column bounds), one group over every coordinate (signed,
-# nonnegative, mixed tags), disjoint groups and overlapping groups
+# nonnegative, mixed tags), disjoint groups, overlapping groups, and disjoint
+# groups scattered beside a coordinate in no group or starting past row 0
 OUT_ROUTES = [
     ("box_scalar", preset("linf", 4)),
     ("box_scalar_nonneg", preset("linf_nonneg", 4)),
@@ -369,6 +379,10 @@ OUT_ROUTES = [
     ("ball_mixed_tags", PolytopeSpec(3, ("signed", "nonneg", "signed"), ((0, 1, 2),))),
     ("disjoint", DISJOINT_GROUPS),
     ("overlap", MIXED_PAIRS),
+    ("disjoint_scattered", PolytopeSpec(
+        6, ("signed", "nonneg", "signed", "signed", "nonneg", "nonneg"), ((0, 4), (1, 3, 5)))),
+    ("disjoint_offset", PolytopeSpec(
+        5, ("nonneg", "signed", "signed", "nonneg", "signed"), ((2, 3, 4),))),
 ]
 
 
@@ -536,10 +550,10 @@ def kernel_columns(dim, rng, n=2000):
 
 
 class TestOverlapKernel:
-    """Projected Newton on the group multipliers against the QP oracle."""
+    """Projected Newton on the group multipliers against the exact KKT oracle."""
 
     def test_capped_dykstra_columns_match_oracle(self):
-        oracle = QpProjectionOracle(MIXED_PAIRS)
+        oracle = exact_oracle(MIXED_PAIRS)
         out = project_columns(MIXED_PAIRS, CAPPED_DYKSTRA_COLUMNS)
         for j, v in enumerate(CAPPED_DYKSTRA_COLUMNS.T):
             assert np.abs(out[:, j] - oracle.project(v)).max() <= 1e-10
@@ -550,9 +564,29 @@ class TestOverlapKernel:
         v = varied_columns(p.dim, scale, np.random.default_rng(int(scale * 10) + p.dim))
         out = project_columns(p, v)
         assert contains(p, out)
-        oracle = QpProjectionOracle(p)
-        for j in range(31):  # the oracle's feasibility test fails at 1e6
+        oracle = exact_oracle(p)
+        for j in range(31):  # column 31 is +-1e6, settled to 1e-12 of its own scale
             assert np.abs(out[:, j] - oracle.project(v[:, j])).max() <= 1e-12 * max(1.0, scale)
+
+    @pytest.mark.parametrize("name,p", [("mixed_pairs", MIXED_PAIRS),
+                                        ("mixed", mixed_sparsity_example())])
+    def test_grid_kink_columns_match_exact_oracle(self, name, p):
+        # multiples of 1/2, 1/4 or 1/8 just off the kinks, where the QP
+        # oracle's 1e-9 feasibility slack can pick a wrong active set
+        rng = np.random.default_rng(35)
+        oracle = exact_oracle(p)
+        for grid in (2, 4, 8):
+            for eps in (1e-9, 1e-8, 1e-7, 1e-6):
+                v = np.round(rng.uniform(-3.0, 3.0, (p.dim, 20)) * grid) / grid
+                v += eps * rng.standard_normal(v.shape)
+                out = project_columns(p, v)
+                for j in range(v.shape[1]):
+                    assert np.abs(out[:, j] - oracle.project(v[:, j])).max() <= 1e-12
+
+    @pytest.mark.parametrize("p, v, exact", [c for c in KINK_COLUMNS if c[0].dim <= 6])
+    def test_exact_oracle_gives_the_kink_projections(self, p, v, exact):
+        # the oracle itself, on the projections verified by hand or by rational enumeration
+        assert np.array_equal(exact_oracle(p).project(np.array(v)), exact)
 
     @pytest.mark.parametrize("name,p", OVERLAPPING + L1_BALLS)
     def test_stack_equals_one_column_projections(self, name, p):

@@ -124,6 +124,13 @@ PROJECTION_CASES = {
     "ball-mixed-tags": PolytopeSpec(3, ("signed", "nonneg", "signed"), ((0, 1, 2),)),
     "disjoint": PolytopeSpec(5, ("signed", "nonneg", "signed", "nonneg", "signed"),
                              ((0, 1), (2, 3))),
+    # scattered mixed-tag groups beside a loose coordinate
+    "disjoint-scattered": PolytopeSpec(
+        6, ("signed", "nonneg", "signed", "signed", "nonneg", "nonneg"), ((0, 4), (1, 3, 5))
+    ),
+    # a contiguous mixed-tag group that starts past row 0
+    "disjoint-offset": PolytopeSpec(5, ("nonneg", "signed", "signed", "nonneg", "signed"),
+                                    ((2, 3, 4),)),
     "pairs": MIXED_PAIRS,
 }
 
@@ -136,6 +143,8 @@ PROJECTION_DIGESTS = {
     "l1_nonneg": "3195e263c75cc76d9e5cb0209582c1bc1e58fe58d6b1d11cd8d38357baa0334c",
     "ball-mixed-tags": "a278298763c7c62d94b5e461003a233cf508dd05b05dde77088c2898389d10c3",
     "disjoint": "84bb0aa47fd9669aa9ac7243c6fc320ed768704d76c5ee907c75e98f09a9b775",
+    "disjoint-scattered": "15166b464ccaec58dcd11f66e59b2a0c0faefdc206067222ae7f08e739a5d36c",
+    "disjoint-offset": "c5ea60a873748b44c0a7cffe5ca6dc0b46d42125f97df4304b8af7e5423f3abe",
     "pairs": "a52aa322827c939e1577de7ab96d143badc0772753606d18157ca2527ae7a75e",
 }
 
