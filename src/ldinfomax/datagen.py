@@ -340,6 +340,6 @@ def make_scenario(cfg):
     h_mix = _mixing_matrix(cfg.m, cfg.r, seed_mix)
     y_clean = h_mix @ s_true
     y, sigma = _add_noise(y_clean, cfg.snr_db, seed_noise)
-    if not contains(cfg.polytope, s_true, tol=1e-9):
+    if not contains(cfg.polytope, s_true):
         raise RuntimeError("generated sources violate the polytope")
     return Scenario(s_true, h_mix, y, sigma)

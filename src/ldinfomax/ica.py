@@ -5,7 +5,8 @@ every sign ``K = -I``), the right choice for bounded sources: the unmixing
 matrix maximizes ``log|det W| + mean Σ_i (log cosh u_i - u_i²/2)`` with
 ``u = W z`` on whitened data. A relative quasi-Newton iteration (the H2
 Hessian approximation of Picard) with a backtracking line search reaches
-that fixed point in tens of iterations.
+that fixed point in tens of iterations. Its stop rule, ``_TOL`` and
+``_MAX_ITER``, belongs to the method and is not configurable.
 """
 
 import math
@@ -25,32 +26,22 @@ __all__ = [
 
 # floor on the smallest eigenvalue of each 2x2 block of the Newton system
 _MIN_PAIR_EIGENVALUE = 1e-2
+# the stop rule: converged once a step's Frobenius norm is below _TOL, failed after _MAX_ITER
+_MAX_ITER = 500
+_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class IcaConfig:
-    """Infomax settings.
+    """Infomax settings: a ``seed`` carried for harness bookkeeping (the
+    iteration itself is deterministic from the identity start)."""
 
-    ``max_iter`` caps the quasi-Newton iterations, and ``tol`` is the
-    Frobenius norm of the unmixing update below which the loop has
-    converged. ``seed`` is carried for harness bookkeeping; the iteration
-    itself is deterministic from the identity start.
-    """
-
-    max_iter: int = 500
-    tol: float = 1e-7
     seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not (0 < self.tol < math.inf):  # NaN fails it too
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 class IcaDivergenceError(RuntimeError):
-    """Infomax did not converge: ``max_iter`` iterations ended above ``tol``,
-    or the unmixing update became non-finite."""
+    """Infomax did not converge: ``_MAX_ITER`` iterations ended above
+    ``_TOL``, or the unmixing update became non-finite."""
 
 
 def _whiten(y, r):
@@ -82,7 +73,7 @@ def _whiten(y, r):
     return w_white @ yc, w_white
 
 
-def _ica_infomax(z, cfg):
+def _ica_infomax(z):
     """Relative quasi-Newton infomax unmixing of whitened data.
 
     ``z`` must be whitened as :func:`_whiten` returns it: zero-mean rows with
@@ -101,23 +92,23 @@ def _ica_infomax(z, cfg):
     ``W ← W + α D W`` halves ``α`` from 1 until the loss decreases.
 
     The loop stops when the applied step's Frobenius norm drops below
-    ``cfg.tol``, or when no step lowers the loss once the tried step is
-    already below ``cfg.tol``. The source model sets its own output scale
+    ``_TOL``, or when no step lowers the loss once the tried step is
+    already below ``_TOL``. The source model sets its own output scale
     (its equilibrium variance is not 1), so the returned (r, r) unmixing
     matrix is row-normalized to give unit-variance outputs on ``z``.
 
     Raises
     ------
     IcaDivergenceError
-        If ``cfg.max_iter`` iterations end without meeting ``cfg.tol``, or
-        the step turns non-finite.
+        If ``_MAX_ITER`` iterations end without meeting ``_TOL``, or the
+        step turns non-finite.
     """
     z = np.asarray(z, dtype=float)
     r, n = z.shape
     w, eye = np.eye(r), np.eye(r)
     u, u_try, work = w @ z, np.empty((r, n)), np.empty((2, r, n))
     loss = -_model_loglik(w, u, work)
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         tu = np.tanh(u)
         grad = w @ w.T - tu @ u.T / n - eye
         np.multiply(tu, tu, out=tu)
@@ -131,17 +122,17 @@ def _ica_infomax(z, cfg):
             w_try = w + step
             np.matmul(w_try, z, out=u_try)
             loss_try = -_model_loglik(w_try, u_try, work)
-            if loss_try < loss or step_norm < cfg.tol:
+            if loss_try < loss or step_norm < _TOL:
                 break
             step *= 0.5
             step_norm *= 0.5
         if loss_try < loss:
             w, u, u_try, loss = w_try, u_try, u, loss_try
-        if step_norm < cfg.tol:
+        if step_norm < _TOL:
             return w / np.maximum(u.std(axis=1), np.finfo(float).tiny)[:, None]
     raise IcaDivergenceError(
-        f"infomax did not converge in {cfg.max_iter} iterations "
-        f"(last step norm {step_norm:.3g}, tol {cfg.tol:g})"
+        f"infomax did not converge in {_MAX_ITER} iterations "
+        f"(last step norm {step_norm:.3g}, tol {_TOL:g})"
     )
 
 
@@ -185,7 +176,7 @@ def _model_loglik(w, u, work):
     )
 
 
-def ica_separate(y, r, cfg):
+def ica_separate(y, r):
     """Whiten, unmix, and return the (r, N) source estimate.
 
     The estimate is ``W @ W_white @ (y - mean)``: zero-mean rows with
@@ -193,7 +184,7 @@ def ica_separate(y, r, cfg):
     scale.
     """
     z, _ = _whiten(y, r)
-    return _ica_infomax(z, cfg) @ z
+    return _ica_infomax(z) @ z
 
 
 def affine_match_to_reference(s_est, s_ref):

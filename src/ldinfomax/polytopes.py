@@ -8,9 +8,10 @@ overlapping groups.
 
 The domain tags become bounds only through ``PolytopeSpec.lower`` and
 ``upper``. When the groups are pairwise disjoint (boxes and balls included)
-the projection is exact in closed form: a box clamp, then each group by one
-in-place kernel, a capped-simplex projection of the magnitudes with the
-signs put back, whose threshold is Michelot's fixed point (1986).
+the projection is exact in closed form: a box clamp (each run of rows of
+one tag with its two scalar bounds), then each group by one in-place
+kernel, a capped-simplex projection of the magnitudes with the signs put
+back, whose threshold is Michelot's fixed point (1986).
 Overlapping groups are projected exactly by projected Newton on the group
 multipliers (Bertsekas 1982), column by column: each column leaves the
 working set once its multipliers are optimal to a tolerance relative to its
@@ -105,14 +106,15 @@ class PolytopeSpec:
         return _read_only(np.ones(self.dim))
 
     @cached_property
-    def _clip_bounds(self):
-        """The box's bounds as ``np.clip`` takes them: two scalars when every
-        domain has one tag (a scalar bound clamps several times faster, and
-        differs only in keeping the sign of a -0.0 on a zero lower bound),
-        else two (dim, 1) columns."""
-        if len(set(self.domains)) == 1:
-            return float(self.lower[0]), float(self.upper[0])
-        return self.lower[:, None], self.upper[:, None]
+    def _box_runs(self):
+        """Per run of consecutive rows of one tag, its rows (``...`` when all
+        rows share a tag) and its two bounds as scalars, which keep the sign
+        of a -0.0 on a zero lower bound at every shape, where numpy's clip
+        with (dim, 1) column bounds picks it by shape."""
+        runs = _runs(self.domains)
+        whole = len(runs) == 1
+        return [(... if whole else r, float(self.lower[r.start]), float(self.upper[r.start]))
+                for r in runs]
 
     @cached_property
     def _disjoint(self):
@@ -128,8 +130,7 @@ class PolytopeSpec:
         blocks = []
         for g in groups:
             signed = [bool(self.lower[i] < 0.0) for i in g]
-            edges = [0, *(k for k in range(1, len(g)) if signed[k] != signed[k - 1]), len(g)]
-            runs = [slice(a, b) for a, b in zip(edges, edges[1:])]
+            runs = _runs(signed)
             rows = slice(g[0], g[-1] + 1) if g == list(range(g[0], g[-1] + 1)) else g
             blocks.append((rows, [r for r in runs if signed[r.start]],
                            [r for r in runs if not signed[r.start]]))
@@ -156,6 +157,12 @@ class PolytopeSpec:
     def __getstate__(self):
         # pickle the declared fields only; the bounds are rebuilt on first use
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _runs(tags):
+    """Slices of the runs of consecutive equal entries of ``tags``, in order."""
+    edges = [0, *(k for k in range(1, len(tags)) if tags[k] != tags[k - 1]), len(tags)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def _read_only(a):
@@ -215,9 +222,11 @@ def contains(p, s, tol=FEASIBILITY_TOL):
     return max_violation(p, s) <= tol
 
 
-def _clamp(p, v, out=None):
-    """Project every column of ``v`` onto the box [p.lower, p.upper], into ``out`` when given."""
-    return np.clip(v, *p._clip_bounds, out=out)
+def _clamp(p, v, out):
+    """Project every column of ``v`` onto the box [p.lower, p.upper], into ``out``."""
+    for rows, lower, upper in p._box_runs:
+        np.clip(v[rows], lower, upper, out=out[rows])
+    return out
 
 
 def _over_budget(u):
@@ -505,10 +514,11 @@ def project_columns(p, s, out=None):
     """Project every column of ``s`` onto the polytope independently.
 
     Two routes. Pairwise-disjoint groups (none at all included) separate:
-    the box clamp when some coordinate lies in no group (over every row:
-    numpy's clip picks its loop, and so the sign of a zero clamped from
-    -0.0, by shape), then one closed form per group, on ``out``'s rows in
-    place when they are contiguous and through a gathered copy otherwise.
+    the box clamp when some coordinate lies in no group (over every row,
+    each run of one tag with scalar bounds, so a zero clamped from -0.0
+    keeps its sign whatever the shape), then one closed form per group, on
+    ``out``'s rows in place when they are contiguous and through a gathered
+    copy otherwise.
     Overlapping groups go through projected Newton on the group
     multipliers, which raises ``RuntimeError`` when a column is not settled
     after ``_NEWTON_MAX_STEPS`` steps.

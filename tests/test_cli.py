@@ -56,8 +56,6 @@ solver.mu0 = 20
 solver.iterations = 80
 solver.record_every = 40
 solver.seed = 7
-ica.max_iter = 500
-ica.tol = 1e-07
 ica.seed = 7
 experiment.algo = both
 experiment.trials = 3
@@ -159,13 +157,13 @@ class TestConfigRoundtrip:
             with pytest.raises(ValueError, match=f"typo.cfg:1: {key}: unknown key"):
                 load_experiment(path)
         # sidecars written while the step rule, the start, the ICA source
-        # model and the ICA learning rate were settable
+        # model, the ICA learning rate and the ICA stop rule were settable
         for key, value in (
             ("solver.schedule", "inverse_sqrt"), ("solver.init", "random"), ("ica.n_subgauss", "2"),
-            ("ica.learning_rate", "0.1"),
+            ("ica.learning_rate", "0.1"), ("ica.max_iter", "500"), ("ica.tol", "1e-07"),
         ):
             path.write_text(f"{SIDECAR_TEXT}{key} = {value}\n")
-            with pytest.raises(ValueError, match=f"typo.cfg:25: {key}: unknown key"):
+            with pytest.raises(ValueError, match=f"typo.cfg:23: {key}: unknown key"):
                 load_experiment(path)
 
     def test_out_of_range_rho_rejected(self, tmp_path):
@@ -227,12 +225,12 @@ class TestConfigErrors:
         assert str(info.value).startswith(f"{path}:{line}: {key}: {reason}")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["solver.epsilon", "solver.mu0", "ica.tol"])
+    @pytest.mark.parametrize("key", ["solver.epsilon", "solver.mu0"])
     def test_non_finite_positive_value_names_its_line(self, tmp_path, key, value):
-        section, name = key.split(".")
+        name = key.split(".")[1]
         reason = f"{name} must be positive and finite, got {float(value)}"
         with pytest.raises(ValueError, match=f"^{reason}$"):
-            {"solver": SolverConfig, "ica": IcaConfig}[section](**{name: float(value)})
+            SolverConfig(**{name: float(value)})
         path = tmp_path / "bad.cfg"
         path.write_text(f"solver.iterations = 5\n{key} = {value}\n")
         with pytest.raises(ValueError) as info:
@@ -260,10 +258,13 @@ class TestGen:
         assert f"wrote {', '.join(written)} to {out}" in text
 
     def test_noiseless_flag_exact_product(self, tmp_path):
+        # the config's scenario.snr_db = none drops the mixture noise
+        cfg = small_experiment(seed=2)
         cfg_path = tmp_path / "exp.cfg"
-        save_experiment(small_experiment(seed=2), cfg_path)
+        save_experiment(replace(cfg, scenario=replace(cfg.scenario, snr_db=None)), cfg_path)
+        assert "scenario.snr_db = none" in cfg_path.read_text().splitlines()
         out = tmp_path / "out"
-        assert main(["gen", "--config", str(cfg_path), "--out", str(out), "--noiseless"]) == 0
+        assert main(["gen", "--config", str(cfg_path), "--out", str(out)]) == 0
         s = np.loadtxt(out / "sources.csv", delimiter=",")
         h = np.loadtxt(out / "mixing.csv", delimiter=",")
         y = np.loadtxt(out / "mixtures.csv", delimiter=",")
@@ -325,7 +326,8 @@ class TestFailedTrials:
     def test_run_exits_nonzero_when_no_trial_succeeds(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "exp.cfg"
         save_experiment(small_experiment(seed=4), cfg_path)
-        monkeypatch.setattr(solver, "run", _failing)
+        # the stacked run solves each trial alone once the stack fails
+        monkeypatch.setattr(solver, "_solve", _failing)
         out = tmp_path / "out"
         out.mkdir()
         (out / "convergence.csv").write_text("stale table from an earlier run\n")
@@ -472,10 +474,15 @@ class TestWorkers:
                 raise RuntimeError("injected scenario failure")
             return real_scenario(scenario_cfg)
 
-        def ica_fails_on_22(y, r, cfg):
-            if cfg.seed == 22:
+        # trial 2's mixtures at every rho the sweep and the ICA run solve
+        cfg = load_experiment(cfg_path)
+        trial_2 = [real_scenario(replace(cfg.scenario, seed=22, rho=rho)).y
+                   for rho in (*cfg.rho_grid, cfg.scenario.rho)]
+
+        def ica_fails_on_22(y, r):
+            if any(np.array_equal(y, mixtures) for mixtures in trial_2):
                 raise ica.IcaDivergenceError("injected ICA divergence")
-            return real_ica(y, r, cfg)
+            return real_ica(y, r)
 
         def ld_diverges_on_23(ys, p, cfgs, ground_truth=None):
             states = real_run(ys, p, cfgs, ground_truth)
@@ -510,6 +517,7 @@ class TestWorkers:
                      "rho=0.3 ld_infomax trial 3 failed: injected divergence"):
             assert line in err
         assert b"failed: injected divergence" in files["ld/trials.csv"]
+        assert b"failed: injected ICA divergence" in files["ica/trials.csv"]
 
     @staticmethod
     def overlapping_pairs_sweep(tmp_path, monkeypatch):

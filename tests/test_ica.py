@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from ldinfomax import ica
 from ldinfomax.datagen import ScenarioConfig, make_scenario
 from ldinfomax.evaluation import sinr_db
-from ldinfomax.ica import (
-    IcaConfig,
-    IcaDivergenceError,
-    _ica_infomax,
-    _whiten,
-    ica_separate,
-)
+from ldinfomax.ica import IcaDivergenceError, _ica_infomax, _whiten, ica_separate
 from ldinfomax.polytopes import preset
 from ldinfomax.stats import sample_covariance
 from oracles import sample_pass_infomax
@@ -62,34 +57,35 @@ class TestIcaInfomax:
         # has to undo that rotation, so score against the original sources
         s = unit_uniform_sources(3, 5000, seed=4)
         z, _ = _whiten(s, 3)
-        w = _ica_infomax(z, IcaConfig())
+        w = _ica_infomax(z)
         assert sinr_db(w @ z, s) > 25.0
 
     def test_deterministic(self):
         s = unit_uniform_sources(3, 1000, seed=5)
         z, _ = _whiten(s, 3)
-        assert np.array_equal(_ica_infomax(z, IcaConfig()), _ica_infomax(z, IcaConfig()))
+        assert np.array_equal(_ica_infomax(z), _ica_infomax(z))
 
     def test_unmixing_well_conditioned(self):
         rng = np.random.default_rng(6)
         s = unit_uniform_sources(3, 3000, seed=6)
         y = rng.standard_normal((5, 3)) @ s
         z, _ = _whiten(y, 3)
-        w = _ica_infomax(z, IcaConfig())
+        w = _ica_infomax(z)
         assert np.linalg.cond(w) < 1e6
 
     def test_divergence_detected(self):
         z, _ = _whiten(unit_uniform_sources(3, 500, seed=7), 3)
         z[1, 10] = np.nan
         with pytest.raises(IcaDivergenceError, match="non-finite at iteration 1"):
-            _ica_infomax(z, IcaConfig())
+            _ica_infomax(z)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
         # one Newton step does not reach tol; the error names the count and
         # the last step norm instead of returning an unconverged matrix
         z, _ = _whiten(unit_uniform_sources(3, 500, seed=7), 3)
+        monkeypatch.setattr(ica, "_MAX_ITER", 1)
         with pytest.raises(IcaDivergenceError, match=r"in 1 iterations \(last step norm [0-9.e+-]+, tol 1e-07\)"):
-            _ica_infomax(z, IcaConfig(max_iter=1))
+            _ica_infomax(z)
 
 
 def _row_aligned(w, w_ref):
@@ -116,7 +112,7 @@ class TestIcaOracle:
         z, _ = _whiten(y, 4)
         w_ref, iterations = sample_pass_infomax(z, max_iter=20000, tol=1e-10)
         assert iterations < 20000
-        w = _ica_infomax(z, IcaConfig())
+        w = _ica_infomax(z)
         assert np.abs(w - _row_aligned(w, w_ref)).max() <= 1e-5
 
 
@@ -125,10 +121,9 @@ class TestIcaSeparate:
         rng = np.random.default_rng(9)
         s = unit_uniform_sources(3, 2000, seed=9)
         y = rng.standard_normal((5, 3)) @ s
-        cfg = IcaConfig()
         z, w_white = _whiten(y, 3)
-        w = _ica_infomax(z, cfg)
-        assert np.allclose(ica_separate(y, 3, cfg), w @ w_white @ (y - y.mean(axis=1, keepdims=True)), atol=1e-12)
+        w = _ica_infomax(z)
+        assert np.allclose(ica_separate(y, 3), w @ w_white @ (y - y.mean(axis=1, keepdims=True)), atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_mixtures_rejected(self, bad):
@@ -136,19 +131,18 @@ class TestIcaSeparate:
         y = rng.standard_normal((4, 3)) @ unit_uniform_sources(3, 500, seed=12)
         y[1, 40] = bad
         with pytest.raises(ValueError, match="^mixtures contain non-finite entries"):
-            ica_separate(y, 3, IcaConfig())
+            ica_separate(y, 3)
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         y = rng.standard_normal((4, 3)) @ unit_uniform_sources(3, 800, seed=10)
-        cfg = IcaConfig()
-        assert np.array_equal(ica_separate(y, 3, cfg), ica_separate(y, 3, cfg))
+        assert np.array_equal(ica_separate(y, 3), ica_separate(y, 3))
 
     def test_independent_uniform_benchmark(self):
         rng = np.random.default_rng(11)
         s = unit_uniform_sources(3, 5000, seed=11)
         y = rng.standard_normal((5, 3)) @ s
-        assert sinr_db(ica_separate(y, 3, IcaConfig()), s) > 25.0
+        assert sinr_db(ica_separate(y, 3), s) > 25.0
 
     def test_separation_rate_over_seeds(self):
         good = 0
@@ -156,14 +150,7 @@ class TestIcaSeparate:
             rng = np.random.default_rng(500 + seed)
             s = unit_uniform_sources(3, 5000, seed=500 + seed)
             y = rng.standard_normal((5, 3)) @ s
-            if sinr_db(ica_separate(y, 3, IcaConfig()), s) >= 25.0:
+            if sinr_db(ica_separate(y, 3), s) >= 25.0:
                 good += 1
         assert good >= 18
 
-
-class TestIcaConfigValidation:
-    def test_bad_values(self):
-        with pytest.raises(ValueError):
-            IcaConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            IcaConfig(tol=0.0)

@@ -161,7 +161,7 @@ MIXED_DOMAINS = PolytopeSpec(4, ("signed", "nonneg", "signed", "nonneg"))
 
 
 class TestClamp:
-    """A spec whose domains share one tag clamps with scalar bounds, which
+    """The box clamps each run of rows of one tag with scalar bounds, which
     must give the values of the per-row bounds. (Scalar bounds keep the sign
     of a -0.0 on a zero lower bound; the solver's clamps are never given a
     -0.0.)"""
@@ -172,10 +172,24 @@ class TestClamp:
         v = np.random.default_rng(30).uniform(-3.0, 3.0, (p.dim, 60))
         v[:, :4] = [[np.inf, -np.inf, np.nan, -0.0]] * p.dim
         v[0, 4:8] = [np.nan, np.inf, -np.inf, 0.0]
-        assert isinstance(p._clip_bounds[0], float) == (len(set(p.domains)) == 1)
-        assert np.array_equal(polytopes._clamp(p, v), per_row_clip(p, v), equal_nan=True)
+        assert np.array_equal(polytopes._clamp(p, v, np.empty_like(v)), per_row_clip(p, v),
+                              equal_nan=True)
         if not p.l1_groups:
             assert np.array_equal(project_columns(p, v), per_row_clip(p, v), equal_nan=True)
+
+    @pytest.mark.parametrize("n", [2, 8, 600])
+    @pytest.mark.parametrize("domains", [
+        ("signed", "nonneg"), ("nonneg", "signed", "nonneg"), MIXED_DOMAINS.domains,
+    ], ids=["2-rows", "3-rows", "4-rows"])
+    def test_negative_zero_keeps_its_sign_at_every_shape(self, domains, n):
+        # 0.5 on signed rows and -0.0 on nonnegative ones, alone and inside a stack
+        p = PolytopeSpec(len(domains), domains)
+        column = np.where(p.lower < 0.0, 0.5, -0.0)[:, None]
+        stack = np.random.default_rng(32).uniform(-2.0, 2.0, (p.dim, n))
+        stack[:, n // 2] = column[:, 0]
+        alone = project_columns(p, column)
+        assert same_bytes(project_columns(p, stack)[:, n // 2:n // 2 + 1], alone)
+        assert np.signbit(alone[p.lower == 0.0]).all()
 
     @pytest.mark.parametrize("p", [MIXED_PAIRS, mixed_sparsity_example()],
                              ids=["mixed_pairs", "mixed"])
@@ -366,8 +380,8 @@ class TestProjectColumns:
             project_columns(preset("linf", 3), np.zeros((2, 5)))
 
 
-# every route of project_columns: box with one tag (scalar bounds) and with
-# mixed tags (column bounds), one group over every coordinate (signed,
+# every route of project_columns: box with one tag (one run) and with mixed
+# tags (a run per tag), one group over every coordinate (signed,
 # nonnegative, mixed tags), disjoint groups, overlapping groups, and disjoint
 # groups scattered beside a coordinate in no group or starting past row 0
 OUT_ROUTES = [

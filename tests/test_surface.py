@@ -1,15 +1,18 @@
-"""The public names and the config knobs, pinned as literal lists.
+"""The public names and the knobs, pinned as literal lists.
 
-A change that adds or removes a public name, a submodule's exported name or
-a config field has to edit these lists, so the change shows in its diff.
+A change that adds or removes a public name, a submodule's exported name, a
+config field or a command-line option has to edit these lists, so the change
+shows in its diff.
 """
 
+import argparse
 import importlib
 from dataclasses import fields
 
 import pytest
 
 import ldinfomax
+from ldinfomax import cli
 from ldinfomax.config import ExperimentConfig
 
 PUBLIC_NAMES = [
@@ -50,11 +53,19 @@ CONFIG_FIELDS = [
         "r", "m", "n", "rho", "dof", "snr_db", "polytope", "source_mode", "l1_mode", "seed",
     ]),
     (ldinfomax.SolverConfig, ["epsilon", "mu0", "iterations", "record_every", "seed"]),
-    (ldinfomax.IcaConfig, ["max_iter", "tol", "seed"]),
+    (ldinfomax.IcaConfig, ["seed"]),
     (ExperimentConfig, [
         "scenario", "solver", "ica", "algo", "trials", "rho_grid", "output_dir",
     ]),
 ]
+
+# each subcommand's options, in declaration order, without --help
+CLI_OPTIONS = {
+    "gen": ["--config", "--seed", "--out"],
+    "run": ["--config", "--seed", "--out", "--algo"],
+    "sweep": ["--config", "--seed", "--out", "--algo"],
+    "eval": ["--out"],
+}
 
 
 def test_public_names():
@@ -74,3 +85,12 @@ def test_submodule_names(module, names):
 @pytest.mark.parametrize("cls, names", CONFIG_FIELDS, ids=[c.__name__ for c, _ in CONFIG_FIELDS])
 def test_config_fields(cls, names):
     assert [f.name for f in fields(cls)] == names
+
+
+def test_cli_options():
+    subs = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [o for action in sub._actions for o in action.option_strings if o not in ("-h", "--help")]
+        for name, sub in subs.choices.items()
+    }
+    assert options == CLI_OPTIONS
